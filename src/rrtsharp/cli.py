@@ -306,7 +306,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_positive(flag: str, value: float | None) -> None:
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag}: must be a finite number > 0")
+
+
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag}: must be >= {low}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    _check_positive("--eta", args.eta)
+    _check_positive("--gamma", args.gamma)
+    _check_at_least("--iters", args.iters, 0)
+    _check_at_least("--stride", args.stride, 1)
+    _check_at_least("--trials", getattr(args, "trials", 1), 1)
     snapshot: list[int] = []
     raw = getattr(args, "snapshot", "")
     if raw:

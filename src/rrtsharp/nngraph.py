@@ -2,8 +2,10 @@
 
 Vertices are numbered 0, 1, 2, ... in insertion order (vertex 0 is the start
 state).  Each vertex carries a position, the two cost-to-come estimates g and
-lmc, a parent pointer and an adjacency list.  Positions are mirrored into a
-contiguous numpy buffer so nearest/near queries run as vectorized scans; a
+lmc, a parent pointer and an adjacency list of 32-bit neighbor ids with a
+parallel list of edge costs.  Positions are mirrored into a contiguous numpy
+buffer, stored relative to vertex 0 so squared distances do not cancel far
+from the origin, and nearest/near queries run as vectorized scans over it; a
 candidate produced by the vectorized pass is re-checked with exact float
 arithmetic so results match a plain linear scan.
 """
@@ -70,8 +72,12 @@ class Graph:
         self.g: list[float] = []
         self.lmc: list[float] = []
         self.parent: list[int] = []
+        # neighbors[u][k] is the k-th neighbor of u and costs[u][k] the cost
+        # of edge {u, neighbors[u][k]}, stored once per direction.
         self.neighbors: list[array] = []
+        self.costs: list[array] = []
         self.edge_count = 0
+        self._origin: np.ndarray | None = None
         self._cap = 256
         self._buf = np.empty((self._cap, dimension), dtype=np.float64)
         self._sqnorm = np.empty(self._cap, dtype=np.float64)
@@ -101,21 +107,28 @@ class Graph:
         self.g.append(INF)
         self.lmc.append(INF)
         self.parent.append(NO_PARENT)
-        self.neighbors.append(array("q"))
+        self.neighbors.append(array("i"))
+        self.costs.append(array("d"))
         row = np.asarray(p, dtype=np.float64)
+        if self._origin is None:
+            self._origin = row
+        row = row - self._origin
         self._buf[vid] = row
         self._sqnorm[vid] = float(row @ row)
         return vid
 
-    def add_edge(self, u: int, v: int) -> None:
-        """Record the undirected edge {u, v} (appears in both adjacency lists)."""
+    def add_edge(self, u: int, v: int, cost: float) -> None:
+        """Record the undirected edge {u, v} with its cost in both adjacency
+        lists; ``cost`` must not depend on the direction of travel."""
         self.neighbors[u].append(v)
+        self.costs[u].append(cost)
         self.neighbors[v].append(u)
+        self.costs[v].append(cost)
         self.edge_count += 1
 
     def _dist2(self, x: Point) -> np.ndarray:
         n = len(self.positions)
-        q = np.asarray(x, dtype=np.float64)
+        q = np.asarray(x, dtype=np.float64) - self._origin
         d2 = self._sqnorm[:n] - 2.0 * (self._buf[:n] @ q) + float(q @ q)
         return d2
 

@@ -324,8 +324,8 @@ def extend(state: PlannerState, x_rand: Point) -> tuple[ExtendStatus, int | None
     graph.lmc[vid] = best_lmc
     graph.parent[vid] = best_parent
     state._register_vertex(vid, x_new)
-    for u, _ in free_pairs:
-        graph.add_edge(vid, u)
+    for u, c in free_pairs:
+        graph.add_edge(vid, u, c)
     state.inclusion_log.append((vid, compute_key(state, vid), gk))
     update_queue(state, vid)
     return (ExtendStatus.EXTENDED, vid)
@@ -333,19 +333,19 @@ def extend(state: PlannerState, x_rand: Point) -> tuple[ExtendStatus, int | None
 
 def reduce_inconsistency(state: PlannerState) -> int:
     """Drain the queue of every vertex whose key strictly precedes the goal
-    key, committing g := lmc and relaxing its neighbors.
+    key, committing g := lmc and relaxing its neighbors over the edge costs
+    cached in the graph's adjacency.
 
     With no goal vertex the goal key is (inf, inf) and the loop empties the
     queue entirely.  Returns the number of vertices committed.
     """
     graph = state.graph
     q = state.queue
-    scenario = state.scenario
     g = graph.g
     lmc = graph.lmc
     parent = graph.parent
     neighbors = graph.neighbors
-    positions = graph.positions
+    costs = graph.costs
     is_goal = state.is_goal
 
     pops = 0
@@ -358,9 +358,8 @@ def reduce_inconsistency(state: PlannerState) -> int:
         g[vid] = new_g
         if is_goal[vid]:
             state._goal_dirty = True
-        pv = positions[vid]
-        for s in neighbors[vid]:
-            cand = new_g + edge_cost(pv, positions[s], scenario)
+        for s, c in zip(neighbors[vid], costs[vid]):
+            cand = new_g + c
             if cand < lmc[s]:
                 lmc[s] = cand
                 parent[s] = vid
@@ -563,8 +562,8 @@ def rrtstar_extend(
     graph.lmc[vid] = best_cost
     graph.parent[vid] = best_parent
     state._register_vertex(vid, x_new)
-    for u, _ in free_pairs:
-        graph.add_edge(vid, u)
+    for u, c in free_pairs:
+        graph.add_edge(vid, u, c)
 
     for u, c in free_pairs:
         cand = best_cost + c

@@ -5,6 +5,7 @@ independent check: a Bellman-Ford relaxation sweep over the same graph.
 """
 
 import math
+from array import array
 
 import pytest
 
@@ -84,14 +85,29 @@ def test_dijkstra_hand_graph():
     g.insert_vertex((3.0, 4.0))  # 1: dist 5 from 0
     g.insert_vertex((6.0, 8.0))  # 2: dist 5 from 1, 10 from 0
     g.insert_vertex((9.0, 0.0))  # 3: disconnected
-    g.add_edge(0, 1)
-    g.add_edge(1, 2)
-    g.add_edge(0, 2)
+    g.add_edge(0, 1, 5.0)
+    g.add_edge(1, 2, 5.0)
+    g.add_edge(0, 2, 10.0)
     dist = dijkstra(g, sc, 0)
     assert dist[0] == 0.0
     assert dist[1] == pytest.approx(5.0, abs=1e-12)
     assert dist[2] == pytest.approx(10.0, abs=1e-12)
     assert math.isinf(dist[3])
+
+
+def test_dijkstra_ignores_cached_edge_costs():
+    # The oracle recomputes every edge cost from geometry, so corrupting the
+    # planner's cached costs must not move a single distance.
+    sc = load_scenario(scenario_path("d2_zones"))
+    result = plan(
+        sc, AlgorithmVariant.RRTSHARP_V0, 300, seed=2, history_stride=100, eta=0.15
+    )
+    graph = result.graph
+    before = dijkstra(graph, sc, 0)
+    assert sum(math.isfinite(d) for d in before) > 1
+    for row in graph.costs:
+        row[:] = array("d", [1e9] * len(row))
+    assert dijkstra(graph, sc, 0) == before
 
 
 # ---------------------------------------------------------- consistency

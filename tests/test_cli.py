@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from rrtsharp.cli import run_cli
 from rrtsharp.nngraph import parse_graph_dump
 from rrtsharp.scenarios import scenario_path
@@ -196,6 +198,35 @@ def test_malformed_flags_exit_one(capsys):
     assert run_args("run") == 1  # --scenario is required
     assert run_args("frobnicate") == 1  # unknown subcommand
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("run", "--eta", "0"),
+        ("run", "--eta", "-0.5"),
+        ("run", "--eta", "nan"),
+        ("run", "--eta", "inf"),
+        ("run", "--gamma", "-1"),
+        ("run", "--gamma", "0"),
+        ("run", "--gamma", "inf"),
+        ("check", "--gamma", "nan"),
+        ("run", "--iters", "-1"),
+        ("run", "--stride", "0"),
+        ("check", "--stride", "0"),
+        ("compare", "--trials", "0"),
+    ],
+)
+def test_out_of_range_flag_exits_one_naming_it(tmp_path, capsys, command, flag, value):
+    code = run_args(
+        command, "--scenario", D2_EMPTY, "--iters", "5",
+        "--out", str(tmp_path / "o"), flag, value,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sampling_budget_exit_two(tmp_path, capsys):

@@ -34,10 +34,15 @@ def brute_near(points, x, r):
     ]
 
 
-def filled_graph(dim, n, seed, gamma=1.5, eta=0.4):
+# World offsets for the linear-scan comparisons: far from the origin,
+# |x|^2 - 2x.q + |q|^2 on absolute coordinates cancels catastrophically.
+OFFSETS = (0.0, 1e5, 1e7)
+
+
+def filled_graph(dim, n, seed, gamma=1.5, eta=0.4, offset=0.0):
     rng = np.random.default_rng(seed)
     g = Graph(dim, gamma=gamma, eta=eta)
-    points = [tuple(rng.uniform(0, 1, dim)) for _ in range(n)]
+    points = [tuple(offset + rng.uniform(0, 1, dim)) for _ in range(n)]
     for p in points:
         g.insert_vertex(p)
     return g, points
@@ -96,11 +101,14 @@ def test_add_edge_symmetric_adjacency():
     a = g.insert_vertex((0.0, 0.0))
     b = g.insert_vertex((0.1, 0.0))
     c = g.insert_vertex((0.2, 0.0))
-    g.add_edge(a, b)
-    g.add_edge(b, c)
+    g.add_edge(a, b, 0.1)
+    g.add_edge(b, c, 0.25)
     assert list(g.neighbors[a]) == [b]
-    assert sorted(g.neighbors[b]) == [a, c]
+    assert list(g.neighbors[b]) == [a, c]
     assert list(g.neighbors[c]) == [b]
+    assert list(g.costs[a]) == [0.1]
+    assert list(g.costs[b]) == [0.1, 0.25]
+    assert list(g.costs[c]) == [0.25]
     assert g.edge_count == 2
     assert list(g.undirected_edges()) == [(0, 1), (1, 2)]
 
@@ -115,12 +123,13 @@ def test_buffer_growth_keeps_queries_exact():
 # -------------------------------------------------------------- nearest
 
 
-def test_nearest_matches_linear_scan():
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_nearest_matches_linear_scan(offset):
     for dim in (2, 3, 5):
-        g, points = filled_graph(dim, 400, seed=dim)
+        g, points = filled_graph(dim, 400, seed=dim, offset=offset)
         rng = np.random.default_rng(100 + dim)
         for _ in range(50):
-            x = tuple(rng.uniform(0, 1, dim))
+            x = tuple(offset + rng.uniform(0, 1, dim))
             assert g.nearest(x) == brute_nearest(points, x)
 
 
@@ -170,12 +179,15 @@ def test_radius_monotone_decreasing_from_three():
 # ----------------------------------------------------------------- near
 
 
-def test_near_matches_linear_scan():
+@pytest.mark.parametrize("offset", OFFSETS)
+def test_near_matches_linear_scan(offset):
     for dim in (2, 5):
-        g, points = filled_graph(dim, 600, seed=10 + dim, gamma=2.0, eta=0.8)
+        g, points = filled_graph(
+            dim, 600, seed=10 + dim, gamma=2.0, eta=0.8, offset=offset
+        )
         rng = np.random.default_rng(20 + dim)
         for _ in range(50):
-            x = tuple(rng.uniform(0, 1, dim))
+            x = tuple(offset + rng.uniform(0, 1, dim))
             n = len(points)
             assert g.near(x, n) == brute_near(points, x, g.radius(n))
 
@@ -216,8 +228,8 @@ def test_dump_roundtrip_exact():
     g.g[3] = 1.234567890123456789
     g.lmc[3] = 1.2
     g.parent[3] = 0
-    g.add_edge(0, 3)
-    g.add_edge(3, 7)
+    g.add_edge(0, 3, 0.5)
+    g.add_edge(3, 7, 0.25)
 
     buf = io.StringIO()
     dump_graph(g, buf, lambda vid: "cat%d" % (vid % 3))

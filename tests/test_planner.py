@@ -379,6 +379,26 @@ def test_committed_costs_match_dijkstra_on_promising_set():
         assert checked > 0
 
 
+@pytest.mark.parametrize(
+    "name, variant",
+    [
+        ("d2_zones", AlgorithmVariant.RRTSHARP_V2),
+        ("d2_clutter", AlgorithmVariant.RRTSTAR_BASELINE),
+    ],
+    ids=["d2_zones-v2", "d2_clutter-rrtstar"],
+)
+def test_cached_edge_costs_match_geometry(name, variant):
+    sc = load_scenario(scenario_path(name))
+    graph = run_planner(sc, variant, 400, (5, 0), 100, eta=0.15).graph
+    entries = 0
+    for u, (nbrs, costs) in enumerate(zip(graph.neighbors, graph.costs)):
+        assert len(costs) == len(nbrs)
+        for v, c in zip(nbrs, costs):
+            assert c == edge_cost(graph.positions[u], graph.positions[v], sc)
+        entries += len(nbrs)
+    assert entries == 2 * graph.edge_count > 0
+
+
 def test_plan_deterministic_for_fixed_seed():
     sc = load_scenario(scenario_path("d2_empty"))
     r1 = plan(sc, AlgorithmVariant.RRTSHARP_V0, 300, seed=7, history_stride=50, eta=0.15)
