@@ -200,54 +200,19 @@ def verify_consistency(state: PlannerState) -> ConsistencyReport:
 
 
 def time_ratio(
-    scenario: Scenario,
-    variants: list[AlgorithmVariant],
-    trials: int,
-    max_iterations: int,
-    base_seed: int,
-    *,
-    eta: float,
-    gamma: float | None = None,
-    history_stride: int = 10,
+    stats: dict[AlgorithmVariant, TrialStats], baseline: TrialStats
 ) -> dict[AlgorithmVariant, list[tuple[int, float]]]:
     """Per-variant elapsed-time ratios against the rewiring baseline.
 
-    Every variant (and the baseline) runs ``trials`` matched-seed runs
-    serially in this process; the ratio at each positive grid iteration is
-    mean(variant elapsed) / mean(baseline elapsed).  Wall-clock comes from a
-    monotonic timer, so ratios carry timer noise and are strictly positive.
+    The ratio at each positive grid iteration is the variant's
+    ``mean_elapsed_s`` over the baseline's, so it comes from the trials that
+    ``run_trials`` already timed.  Wall-clock comes from a monotonic timer,
+    so ratios carry timer noise and are strictly positive.
     """
-    def mean_elapsed(variant: AlgorithmVariant) -> tuple[list[int], list[float]]:
-        per_iter: list[list[float]] = []
-        iterations: list[int] = []
-        for t in range(trials):
-            result = run_planner(
-                scenario,
-                variant,
-                max_iterations,
-                trial_seed(base_seed, t),
-                history_stride,
-                eta=eta,
-                gamma=gamma,
-            )
-            samples = result.cost_history.samples
-            if not iterations:
-                iterations = [s[0] for s in samples]
-                per_iter = [[] for _ in samples]
-            for idx, s in enumerate(samples):
-                per_iter[idx].append(s[1])
-        return iterations, [sum(v) / len(v) for v in per_iter]
-
-    iterations, base = mean_elapsed(AlgorithmVariant.RRTSTAR_BASELINE)
     out: dict[AlgorithmVariant, list[tuple[int, float]]] = {}
-    for variant in variants:
-        _, elapsed = mean_elapsed(variant)
-        ratios = [
-            (it, elapsed[idx] / base[idx])
-            for idx, it in enumerate(iterations)
-            if it > 0 and base[idx] > 0.0
-        ]
-        out[variant] = ratios
+    for variant, st in stats.items():
+        grid = zip(st.iterations, st.mean_elapsed_s, baseline.mean_elapsed_s)
+        out[variant] = [(it, t / base) for it, t, base in grid if it > 0 and base > 0.0]
     return out
 
 

@@ -17,11 +17,10 @@ from .nngraph import dump_graph
 from .planner import (
     AlgorithmVariant,
     PlannerState,
-    RRTStarState,
+    RunState,
     classify_values,
     compute_key,
-    plan,
-    plan_rrtstar,
+    run_planner,
 )
 from .pqueue import key_lt
 from .space import SamplingBudgetError, Scenario, ScenarioError, load_scenario
@@ -51,7 +50,7 @@ def _write_lines(path: Path, lines: list[str]) -> None:
             fh.write(line + "\n")
 
 
-def _dump_tree(state: PlannerState | RRTStarState, path: Path) -> None:
+def _dump_tree(state: RunState, path: Path) -> None:
     graph = state.graph
 
     def category(vid: int) -> str:
@@ -80,25 +79,22 @@ def cmd_run(config: RunConfig) -> int:
     out_dir = Path(config.out)
     snapshots = sorted(set(config.snapshot))
 
-    def observer(state: PlannerState | RRTStarState, iteration: int) -> None:
+    def observer(state: RunState, iteration: int) -> None:
         if iteration in snapshot_set:
             _dump_tree(state, out_dir / f"tree_{iteration}.txt")
 
     snapshot_set = set(snapshots)
-    kwargs = dict(
-        eta=config.eta,
-        gamma=config.gamma,
-        on_iteration=observer if snapshots else None,
-    )
     try:
-        if variant is AlgorithmVariant.RRTSTAR_BASELINE:
-            result = plan_rrtstar(
-                scenario, config.iters, config.seed, config.stride, **kwargs
-            )
-        else:
-            result = plan(
-                scenario, variant, config.iters, config.seed, config.stride, **kwargs
-            )
+        result = run_planner(
+            scenario,
+            variant,
+            config.iters,
+            config.seed,
+            config.stride,
+            eta=config.eta,
+            gamma=config.gamma,
+            on_iteration=observer if snapshots else None,
+        )
     except SamplingBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -137,8 +133,11 @@ def _parse_variant_list(raw: str) -> list[AlgorithmVariant]:
 def cmd_compare(config: RunConfig) -> int:
     """Matched-seed trials over several variants: stats.csv, time_ratio.csv.
 
-    The mean_elapsed_s and ratio columns are wall-clock measurements and
-    vary run to run; the cost columns are deterministic for a fixed config.
+    Time ratios come from the trials behind stats.csv, plus the baseline's
+    when it was not requested.  The mean_elapsed_s and ratio columns are
+    wall-clock measurements and vary run to run; the cost columns are
+    deterministic for a fixed config.  Exits 2, writing nothing, when any
+    trial exhausts the sampling budget.
     """
     try:
         scenario = load_scenario(config.scenario_path)
@@ -147,31 +146,31 @@ def cmd_compare(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    def trials(chosen: list[AlgorithmVariant]) -> dict[AlgorithmVariant, bench.TrialStats]:
+        return bench.run_trials(
+            scenario,
+            chosen,
+            config.trials,
+            config.iters,
+            config.seed,
+            eta=config.eta,
+            gamma=config.gamma,
+            history_stride=config.stride,
+        )
+
     out_dir = Path(config.out)
-    try:
-        stats = bench.run_trials(
-            scenario,
-            variants,
-            config.trials,
-            config.iters,
-            config.seed,
-            eta=config.eta,
-            gamma=config.gamma,
-            history_stride=config.stride,
-        )
-        ratios = bench.time_ratio(
-            scenario,
-            variants,
-            config.trials,
-            config.iters,
-            config.seed,
-            eta=config.eta,
-            gamma=config.gamma,
-            history_stride=config.stride,
-        )
-    except SamplingBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    stats = trials(variants)
+    baseline = AlgorithmVariant.RRTSTAR_BASELINE
+    everything = stats if baseline in stats else {**stats, **trials([baseline])}
+    for variant, st in everything.items():
+        if st.failed_trials:
+            print(
+                f"error: {variant.value}: {st.failed_trials} of {config.trials} "
+                "trials found no free sample",
+                file=sys.stderr,
+            )
+            return 2
+    ratios = bench.time_ratio(stats, everything[baseline])
 
     _write_lines(out_dir / "stats.csv", bench.stats_csv_rows(stats))
 
@@ -241,7 +240,7 @@ def cmd_check(config: RunConfig) -> int:
             _dump_tree(state, out_dir / f"violation_{iteration}.txt")
 
     try:
-        plan(
+        run_planner(
             scenario,
             variant,
             config.iters,

@@ -26,18 +26,6 @@ INF = math.inf
 NO_PARENT = -1
 
 
-@dataclass(frozen=True)
-class VertexView:
-    """Read-only snapshot of one vertex, for tests and debugging."""
-
-    vid: int
-    position: Point
-    g: float
-    lmc: float
-    parent: int
-    neighbors: tuple[int, ...]
-
-
 def steer(from_point: Point, toward: Point, eta: float) -> Point:
     """Pull ``toward`` back to within eta of ``from_point``.
 
@@ -63,8 +51,8 @@ class Graph:
     def __init__(self, dimension: int, gamma: float, eta: float) -> None:
         if dimension < 1:
             raise ValueError("dimension must be positive")
-        if gamma <= 0 or eta <= 0:
-            raise ValueError("gamma and eta must be positive")
+        if not (math.isfinite(gamma) and gamma > 0 and math.isfinite(eta) and eta > 0):
+            raise ValueError("gamma and eta must be finite and positive")
         self.dimension = dimension
         self.gamma = gamma
         self.eta = eta
@@ -165,16 +153,6 @@ class Graph:
             if 0.0 < dist < r:
                 out.append(vid)
         return out
-
-    def vertex(self, vid: int) -> VertexView:
-        return VertexView(
-            vid=vid,
-            position=self.positions[vid],
-            g=self.g[vid],
-            lmc=self.lmc[vid],
-            parent=self.parent[vid],
-            neighbors=tuple(self.neighbors[vid]),
-        )
 
     def undirected_edges(self) -> Iterable[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v, ascending."""

@@ -1,26 +1,23 @@
 """Incremental planners over the shared geometric graph.
 
-Two planner families share one substrate (sampler, steering, r-disc
-neighborhoods, cost model):
+Both planner families grow the same random geometric graph: sample, steer,
+collision gate, r-disc neighborhood (``_connections``).  They differ only in
+how costs are updated after each extension:
 
-* ``plan`` grows a random graph while keeping a spanning tree whose
-  cost-to-come values stay consistent over the promising part of the graph.
-  Every vertex carries two estimates: ``g`` (the committed cost-to-come) and
-  ``lmc`` (the one-step lookahead over its neighbors).  Whenever the two
-  disagree the vertex sits in a priority queue ordered by a two-component
-  key, and ``reduce_inconsistency`` drains the queue until every vertex that
-  could still improve the best known goal cost has g == lmc.  Inclusion
-  variants V1..V3 reject progressively more of the newly steered vertices;
-  V0 keeps everything that passes the collision gate.
+* The consistent-tree family (``extend``, variants V0..V3) keeps ``g`` (the
+  committed cost-to-come) and ``lmc`` (the one-step lookahead over the
+  neighbors) per vertex, queues every vertex where the two disagree under a
+  two-component key, and ``reduce_inconsistency`` drains the queue until
+  every vertex that could still improve the best known goal cost has
+  g == lmc.  V1..V3 reject progressively more of the newly steered
+  vertices; V0 keeps everything that passes the collision gate.
+* The rewiring baseline (``rrtstar_extend``) picks the cheapest parent in
+  the neighborhood and offers the new vertex as a parent to it, with no
+  propagation beyond one hop, so descendants' stored costs go stale.
 
-* ``plan_rrtstar`` is the classic rewiring baseline: new vertices pick the
-  cheapest parent in their neighborhood and then offer themselves as a
-  parent to the neighborhood, with no propagation beyond one hop.  Stored
-  costs of descendants go stale until a later rewire touches them, which is
-  the behaviour the consistent-tree planner removes.
-
-Both return a PlanResult with the final graph, the best path found and a
-cost history sampled on a fixed iteration stride.
+``plan`` (also ``run_planner``) runs any variant and returns the final
+graph, the best path and a cost history sampled on a fixed iteration
+stride; ``plan_rrtstar`` is shorthand for the baseline.
 """
 
 from __future__ import annotations
@@ -45,6 +42,9 @@ from .space import (
 )
 
 INF = math.inf
+
+# Collision-free connections of a steered point: (vertex id, edge cost).
+Pairs = list[tuple[int, float]]
 
 
 class InvariantViolation(RuntimeError):
@@ -115,8 +115,6 @@ class ExtendStatus(Enum):
 class PlannerParams:
     eta: float
     gamma: float
-    max_iterations: int
-    history_stride: int = 10
     sample_budget: int = DEFAULT_SAMPLE_BUDGET
 
 
@@ -146,11 +144,13 @@ def gamma_rrg(scenario: Scenario) -> float:
     return 2.0 * (1.0 + 1.0 / d) ** (1.0 / d) * (mu / zeta) ** (1.0 / d)
 
 
-class PlannerState:
-    """Mutable run state for the consistent-tree planner.
+class RunState:
+    """Mutable run state shared by both planner families.
 
-    Exposes the graph, queue and goal bookkeeping so observers (snapshot
-    dumps, invariant checkers) can inspect a live run between iterations.
+    Exposes the graph and goal bookkeeping so observers (snapshot dumps,
+    invariant checkers) can inspect a live run between iterations.  Each
+    family supplies what ``plan`` calls: ``step`` (one extension toward a
+    sample), ``settle`` (work after each extension) and ``reported_cost``.
     """
 
     def __init__(
@@ -165,11 +165,31 @@ class PlannerState:
         self.params = params
         self.rng = rng
         self.graph = Graph(scenario.dimension, params.gamma, params.eta)
-        self.queue = IndexedQueue()
-        self.h: list[float] = []
         self.is_goal: list[bool] = []
         self.goal_ids: list[int] = []
         self.iteration = 0
+
+    def _register_vertex(self, vid: int, position: Point) -> None:
+        in_goal = self.scenario.goal.contains(position)
+        self.is_goal.append(in_goal)
+        if in_goal:
+            self.goal_ids.append(vid)
+
+
+class PlannerState(RunState):
+    """Run state of the consistent-tree planner: adds the key queue, the
+    heuristic per vertex and the cached goal key."""
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        variant: AlgorithmVariant,
+        params: PlannerParams,
+        rng: SeededRng,
+    ) -> None:
+        super().__init__(scenario, variant, params, rng)
+        self.queue = IndexedQueue()
+        self.h: list[float] = []
         # (vid, key at inclusion, goal key at inclusion); audit trail for the
         # inclusion gates.
         self.inclusion_log: list[tuple[int, Key, Key]] = []
@@ -179,10 +199,8 @@ class PlannerState:
 
     def _register_vertex(self, vid: int, position: Point) -> None:
         self.h.append(heuristic(position, self.scenario))
-        self.is_goal.append(False)
-        if self.scenario.goal.contains(position):
-            self.is_goal[vid] = True
-            self.goal_ids.append(vid)
+        super()._register_vertex(vid, position)
+        if self.is_goal[vid]:
             self._goal_dirty = True
 
     def goal_key(self) -> Key:
@@ -210,8 +228,52 @@ class PlannerState:
             return (None, INF)
         return (self._goal_best, key.k2)
 
-    def vertex_in_queue(self, vid: int) -> bool:
-        return self.queue.contains(vid)
+    def step(self, x_rand: Point) -> None:
+        extend(self, x_rand)
+
+    def settle(self) -> None:
+        reduce_inconsistency(self)
+
+    def reported_cost(self) -> float:
+        """The best goal vertex's cost-to-come (its parent chain's edge sum)."""
+        return self.best_goal()[1]
+
+
+class RRTStarState(RunState):
+    """Run state of the rewiring baseline.  Vertex costs live in the graph's
+    g/lmc slots, kept equal, so snapshots and dumps share the consistent-tree
+    code paths; every baseline vertex is CONSISTENT_FINITE by construction."""
+
+    def best_goal(self) -> tuple[int | None, float]:
+        """Goal vertex with the lowest stored cost (stale values included)."""
+        best_vid = None
+        best = INF
+        g = self.graph.g
+        for vid in self.goal_ids:
+            if g[vid] < best:
+                best = g[vid]
+                best_vid = vid
+        return (best_vid, best)
+
+    def step(self, x_rand: Point) -> None:
+        rrtstar_extend(self, x_rand)
+
+    def settle(self) -> None:
+        """Nothing to do: rewiring finishes inside ``rrtstar_extend``."""
+
+    def reported_cost(self) -> float:
+        """Edge-cost sum along the best goal vertex's parent chain, added from
+        the goal back: the realizable cost, which differs from the stored one
+        when a rewire upstream left the chain's stored values stale."""
+        best_vid, best = self.best_goal()
+        if best_vid is None or math.isinf(best):
+            return INF
+        positions = self.graph.positions
+        path = _walk_best_path(self.graph, best_vid)
+        total = 0.0
+        for k in range(len(path) - 1, 0, -1):
+            total += edge_cost(positions[path[k - 1]], positions[path[k]], self.scenario)
+        return total
 
 
 def compute_key(state: PlannerState, vid: int) -> Key:
@@ -220,14 +282,6 @@ def compute_key(state: PlannerState, vid: int) -> Key:
     lmc = state.graph.lmc[vid]
     m = lmc if lmc < g else g
     return Key(m + state.h[vid], m)
-
-
-def classify_vertex(state: PlannerState, vid: int) -> VertexCategory:
-    return classify_values(state.graph.g[vid], state.graph.lmc[vid])
-
-
-def goal_key(state: PlannerState) -> Key:
-    return state.goal_key()
 
 
 def update_queue(state: PlannerState, vid: int) -> None:
@@ -249,13 +303,73 @@ def update_queue(state: PlannerState, vid: int) -> None:
         q.remove(vid)
 
 
+def _connections(
+    state: RunState, x_rand: Point
+) -> tuple[ExtendStatus | None, Point, int, Pairs]:
+    """The extension front both families share.
+
+    Steers from the nearest vertex toward ``x_rand`` and returns
+    ``(status, x_new, v_nearest, free_pairs)``; ``status`` is None unless
+    the extension is REJECTED or COLLISION_BLOCKED.  The candidates are the
+    r-disc neighborhood plus the nearest vertex itself, so the steering edge
+    always exists when a vertex is kept; ``free_pairs`` holds the
+    collision-free ones with their exact edge costs, ascending id.
+    """
+    graph = state.graph
+    scenario = state.scenario
+    positions = graph.positions
+
+    v_nearest = graph.nearest(x_rand)
+    p_nearest = positions[v_nearest]
+    x_new = steer(p_nearest, x_rand, state.params.eta)
+    if x_new == p_nearest:
+        return (ExtendStatus.REJECTED, x_new, v_nearest, [])
+    if not segment_obstacle_free(p_nearest, x_new, scenario):
+        return (ExtendStatus.COLLISION_BLOCKED, x_new, v_nearest, [])
+
+    candidates = graph.near(x_new, len(graph))
+    if v_nearest not in candidates:
+        candidates.append(v_nearest)
+        candidates.sort()
+
+    free_pairs: Pairs = []
+    for u in candidates:
+        if u != v_nearest and not segment_obstacle_free(positions[u], x_new, scenario):
+            continue
+        free_pairs.append((u, edge_cost(positions[u], x_new, scenario)))
+    return (None, x_new, v_nearest, free_pairs)
+
+
+def _cheapest_parent(
+    g: list[float], free_pairs: Pairs, best_cost: float = INF, best_parent: int = NO_PARENT
+) -> tuple[float, int]:
+    """Lowest g[u] + cost over the connections, starting from the given
+    incumbent; ties keep the incumbent, then the lowest id."""
+    for u, c in free_pairs:
+        cand = g[u] + c
+        if cand < best_cost:
+            best_cost = cand
+            best_parent = u
+    return (best_cost, best_parent)
+
+
+def _insert(state: RunState, x_new: Point, lmc: float, parent: int, free_pairs: Pairs) -> int:
+    """Add a vertex with its lmc, parent and every connection; returns its id."""
+    graph = state.graph
+    vid = graph.insert_vertex(x_new)
+    graph.lmc[vid] = lmc
+    graph.parent[vid] = parent
+    state._register_vertex(vid, x_new)
+    for u, c in free_pairs:
+        graph.add_edge(vid, u, c)
+    return vid
+
+
 def extend(state: PlannerState, x_rand: Point) -> tuple[ExtendStatus, int | None]:
     """Steer toward a sample and try to add the resulting vertex.
 
-    The candidate connection set is the r-disc neighborhood of the steered
-    point plus the nearest vertex itself, so the steering edge always exists
-    in the graph when a vertex is kept.  Variants differ in how the new
-    vertex's lmc is seeded and in the inclusion gate:
+    Variants differ in how the new vertex's lmc is seeded and in the
+    inclusion gate:
 
     * V0 seeds lmc/parent from the nearest vertex and always includes.
     * V1 starts from scratch and includes only if some neighbor with finite
@@ -265,45 +379,19 @@ def extend(state: PlannerState, x_rand: Point) -> tuple[ExtendStatus, int | None
 
     A rejection leaves the graph untouched.
     """
-    graph = state.graph
-    scenario = state.scenario
-    positions = graph.positions
-    g = graph.g
+    blocked, x_new, v_nearest, free_pairs = _connections(state, x_rand)
+    if blocked is not None:
+        return (blocked, None)
 
-    v_nearest = graph.nearest(x_rand)
-    p_nearest = positions[v_nearest]
-    x_new = steer(p_nearest, x_rand, state.params.eta)
-    if x_new == p_nearest:
-        return (ExtendStatus.REJECTED, None)
-    if not segment_obstacle_free(p_nearest, x_new, scenario):
-        return (ExtendStatus.COLLISION_BLOCKED, None)
-
-    n = len(graph)
-    candidates = graph.near(x_new, n)
-    if v_nearest not in candidates:
-        candidates.append(v_nearest)
-        candidates.sort()
-
-    # Collision-free connections with their exact edge costs, ascending id.
-    free_pairs: list[tuple[int, float]] = []
-    for u in candidates:
-        if u != v_nearest and not segment_obstacle_free(positions[u], x_new, scenario):
-            continue
-        free_pairs.append((u, edge_cost(positions[u], x_new, scenario)))
-
+    g = state.graph.g
     variant = state.variant
     if variant is AlgorithmVariant.RRTSHARP_V0:
         cost_nearest = next(c for u, c in free_pairs if u == v_nearest)
-        best_lmc = g[v_nearest] + cost_nearest
-        best_parent = v_nearest
+        best_lmc, best_parent = _cheapest_parent(
+            g, free_pairs, g[v_nearest] + cost_nearest, v_nearest
+        )
     else:
-        best_lmc = INF
-        best_parent = NO_PARENT
-    for u, c in free_pairs:
-        cand = g[u] + c
-        if cand < best_lmc:
-            best_lmc = cand
-            best_parent = u
+        best_lmc, best_parent = _cheapest_parent(g, free_pairs)
 
     gk = state.goal_key()
     if variant is AlgorithmVariant.RRTSHARP_V1:
@@ -313,21 +401,42 @@ def extend(state: PlannerState, x_rand: Point) -> tuple[ExtendStatus, int | None
             compute_key(state, best_parent), gk
         )
     elif variant is AlgorithmVariant.RRTSHARP_V3:
-        h_new = heuristic(x_new, scenario)
+        h_new = heuristic(x_new, state.scenario)
         include = key_lt(Key(best_lmc + h_new, best_lmc), gk)
     else:
         include = True
     if not include:
         return (ExtendStatus.REJECTED, None)
 
-    vid = graph.insert_vertex(x_new)
-    graph.lmc[vid] = best_lmc
-    graph.parent[vid] = best_parent
-    state._register_vertex(vid, x_new)
-    for u, c in free_pairs:
-        graph.add_edge(vid, u, c)
+    vid = _insert(state, x_new, best_lmc, best_parent, free_pairs)
     state.inclusion_log.append((vid, compute_key(state, vid), gk))
     update_queue(state, vid)
+    return (ExtendStatus.EXTENDED, vid)
+
+
+def rrtstar_extend(state: RRTStarState, x_rand: Point) -> tuple[ExtendStatus, int | None]:
+    """One baseline iteration: choose the cheapest parent in the
+    neighborhood, insert, then rewire neighbors through the new vertex.
+
+    Rewiring updates only the immediate neighbor's stored cost and parent;
+    descendants keep stale costs until some later rewire reaches them.
+    """
+    blocked, x_new, _, free_pairs = _connections(state, x_rand)
+    if blocked is not None:
+        return (blocked, None)
+
+    graph = state.graph
+    g = graph.g
+    best_cost, best_parent = _cheapest_parent(g, free_pairs)
+    vid = _insert(state, x_new, best_cost, best_parent, free_pairs)
+    g[vid] = best_cost
+
+    for u, c in free_pairs:
+        cand = best_cost + c
+        if cand < g[u]:
+            g[u] = cand
+            graph.lmc[u] = cand
+            graph.parent[u] = vid
     return (ExtendStatus.EXTENDED, vid)
 
 
@@ -380,7 +489,7 @@ class PlanResult:
     best_path: list[int]
     best_cost: float
     cost_history: CostHistory
-    state: object
+    state: RunState
 
 
 def _walk_best_path(graph: Graph, best_vid: int | None) -> list[int]:
@@ -405,16 +514,18 @@ def make_planner_state(
     variant: AlgorithmVariant,
     params: PlannerParams,
     seed: int | tuple[int, ...],
-) -> PlannerState:
-    """Build a fresh state with the start vertex queued for its first commit."""
-    if variant is AlgorithmVariant.RRTSTAR_BASELINE:
-        raise ValueError("make_planner_state: use plan_rrtstar for the baseline")
-    state = PlannerState(scenario, variant, params, SeededRng(seed))
+) -> PlannerState | RRTStarState:
+    """Fresh state of the variant's family holding the start vertex, committed
+    at cost 0 for the baseline and queued for its first commit otherwise."""
+    baseline = variant is AlgorithmVariant.RRTSTAR_BASELINE
+    family = RRTStarState if baseline else PlannerState
+    state = family(scenario, variant, params, SeededRng(seed))
     x_init = tuple(map(float, scenario.x_init))
-    vid = state.graph.insert_vertex(x_init)
-    state._register_vertex(vid, x_init)
-    state.graph.lmc[vid] = 0.0
-    update_queue(state, vid)
+    vid = _insert(state, x_init, 0.0, NO_PARENT, [])
+    if baseline:
+        state.graph.g[vid] = 0.0
+    else:
+        update_queue(state, vid)
     return state
 
 
@@ -428,16 +539,15 @@ def plan(
     eta: float,
     gamma: float | None = None,
     sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-    on_iteration: Callable[[PlannerState, int], None] | None = None,
+    on_iteration: Callable[[RunState, int], None] | None = None,
 ) -> PlanResult:
-    """Run the consistent-tree planner for a fixed iteration budget.
+    """Run any variant, the baseline included, for a fixed iteration budget.
 
     Each iteration draws one collision-free sample, attempts an extension
-    and restores consistency.  The cost history is sampled at iteration 0
-    and every ``history_stride`` iterations; best_cost is the lowest
-    cost-to-come estimate over goal vertices, which equals the edge-cost sum
-    along the returned path.  ``on_iteration`` (if given) runs after each
-    iteration's consistency pass.
+    and settles the state.  The cost history is sampled at iteration 0 and
+    every ``history_stride`` iterations with the state's reported cost,
+    which equals the edge-cost sum along the returned path.
+    ``on_iteration`` (if given) runs at the end of each iteration.
     """
     if max_iterations < 0:
         raise ValueError("max_iterations must be >= 0")
@@ -446,155 +556,36 @@ def plan(
     params = PlannerParams(
         eta=eta,
         gamma=gamma if gamma is not None else gamma_rrg(scenario),
-        max_iterations=max_iterations,
-        history_stride=history_stride,
         sample_budget=sample_budget,
     )
     state = make_planner_state(scenario, variant, params, seed)
     t0 = time.perf_counter()
-    reduce_inconsistency(state)
+    state.settle()
     history = CostHistory()
-    history.samples.append((0, time.perf_counter() - t0, state.best_goal()[1]))
+    history.samples.append((0, time.perf_counter() - t0, state.reported_cost()))
     for it in range(1, max_iterations + 1):
         state.iteration = it
         x_rand = sample_free(state.rng, scenario, params.sample_budget)
-        extend(state, x_rand)
-        reduce_inconsistency(state)
+        state.step(x_rand)
+        state.settle()
         if it % history_stride == 0:
             history.samples.append(
-                (it, time.perf_counter() - t0, state.best_goal()[1])
+                (it, time.perf_counter() - t0, state.reported_cost())
             )
         if on_iteration is not None:
             on_iteration(state, it)
-    best_vid, best_cost = state.best_goal()
-    best_path = _walk_best_path(state.graph, best_vid)
+    best_vid, _ = state.best_goal()
     return PlanResult(
         graph=state.graph,
-        best_path=best_path,
-        best_cost=best_cost,
+        best_path=_walk_best_path(state.graph, best_vid),
+        best_cost=state.reported_cost(),
         cost_history=history,
         state=state,
     )
 
 
-class RRTStarState:
-    """Mutable run state for the rewiring baseline.
-
-    Vertex costs live in the graph's g/lmc slots (kept equal) so snapshots
-    and dumps share the consistent-tree code paths; every baseline vertex is
-    CONSISTENT_FINITE by construction.
-    """
-
-    def __init__(
-        self, scenario: Scenario, params: PlannerParams, rng: SeededRng
-    ) -> None:
-        self.scenario = scenario
-        self.variant = AlgorithmVariant.RRTSTAR_BASELINE
-        self.params = params
-        self.rng = rng
-        self.graph = Graph(scenario.dimension, params.gamma, params.eta)
-        self.is_goal: list[bool] = []
-        self.goal_ids: list[int] = []
-        self.iteration = 0
-
-    def _register_vertex(self, vid: int, position: Point) -> None:
-        self.is_goal.append(False)
-        if self.scenario.goal.contains(position):
-            self.is_goal[vid] = True
-            self.goal_ids.append(vid)
-
-    def best_goal(self) -> tuple[int | None, float]:
-        """Goal vertex with the lowest stored cost (stale values included)."""
-        best_vid = None
-        best = INF
-        g = self.graph.g
-        for vid in self.goal_ids:
-            if g[vid] < best:
-                best = g[vid]
-                best_vid = vid
-        return (best_vid, best)
-
-
-def rrtstar_extend(
-    state: RRTStarState, x_rand: Point
-) -> tuple[ExtendStatus, int | None]:
-    """One baseline iteration: choose the cheapest parent in the
-    neighborhood, insert, then rewire neighbors through the new vertex.
-
-    Rewiring updates only the immediate neighbor's stored cost and parent;
-    descendants keep stale costs until some later rewire reaches them.
-    """
-    graph = state.graph
-    scenario = state.scenario
-    positions = graph.positions
-    g = graph.g
-
-    v_nearest = graph.nearest(x_rand)
-    p_nearest = positions[v_nearest]
-    x_new = steer(p_nearest, x_rand, state.params.eta)
-    if x_new == p_nearest:
-        return (ExtendStatus.REJECTED, None)
-    if not segment_obstacle_free(p_nearest, x_new, scenario):
-        return (ExtendStatus.COLLISION_BLOCKED, None)
-
-    n = len(graph)
-    candidates = graph.near(x_new, n)
-    if v_nearest not in candidates:
-        candidates.append(v_nearest)
-        candidates.sort()
-
-    free_pairs: list[tuple[int, float]] = []
-    for u in candidates:
-        if u != v_nearest and not segment_obstacle_free(positions[u], x_new, scenario):
-            continue
-        free_pairs.append((u, edge_cost(positions[u], x_new, scenario)))
-
-    best_cost = INF
-    best_parent = NO_PARENT
-    for u, c in free_pairs:
-        cand = g[u] + c
-        if cand < best_cost:
-            best_cost = cand
-            best_parent = u
-
-    vid = graph.insert_vertex(x_new)
-    graph.g[vid] = best_cost
-    graph.lmc[vid] = best_cost
-    graph.parent[vid] = best_parent
-    state._register_vertex(vid, x_new)
-    for u, c in free_pairs:
-        graph.add_edge(vid, u, c)
-
-    for u, c in free_pairs:
-        cand = best_cost + c
-        if cand < g[u]:
-            g[u] = cand
-            graph.lmc[u] = cand
-            graph.parent[u] = vid
-    return (ExtendStatus.EXTENDED, vid)
-
-
-def _rrtstar_best_path_cost(state: RRTStarState) -> float:
-    """Edge-cost sum along the current best goal vertex's parent chain.
-
-    This is the realizable cost; it can differ from the stored cost when a
-    rewire upstream left the chain's stored values stale.
-    """
-    best_vid, best = state.best_goal()
-    if best_vid is None or math.isinf(best):
-        return INF
-    graph = state.graph
-    total = 0.0
-    cur = best_vid
-    steps = 0
-    while graph.parent[cur] != NO_PARENT:
-        p = graph.parent[cur]
-        total += edge_cost(graph.positions[p], graph.positions[cur], state.scenario)
-        cur = p
-        steps += 1
-        if steps > len(graph):
-            raise InvariantViolation("parent walk exceeded vertex count")
-    return total
+# The library and benchmark entry point; ``plan`` takes every variant.
+run_planner = plan
 
 
 def plan_rrtstar(
@@ -602,68 +593,8 @@ def plan_rrtstar(
     max_iterations: int,
     seed: int | tuple[int, ...],
     history_stride: int = 10,
-    *,
-    eta: float,
-    gamma: float | None = None,
-    sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-    on_iteration: Callable[[RRTStarState, int], None] | None = None,
-) -> PlanResult:
-    """Run the rewiring baseline with the same I/O contract as ``plan``.
-
-    History samples report the realizable path cost (edge sum along the
-    current parent chain), not the possibly stale stored cost.
-    """
-    if max_iterations < 0:
-        raise ValueError("max_iterations must be >= 0")
-    if history_stride < 1:
-        raise ValueError("history_stride must be >= 1")
-    params = PlannerParams(
-        eta=eta,
-        gamma=gamma if gamma is not None else gamma_rrg(scenario),
-        max_iterations=max_iterations,
-        history_stride=history_stride,
-        sample_budget=sample_budget,
-    )
-    state = RRTStarState(scenario, params, SeededRng(seed))
-    x_init = tuple(map(float, scenario.x_init))
-    vid = state.graph.insert_vertex(x_init)
-    state.graph.g[vid] = 0.0
-    state.graph.lmc[vid] = 0.0
-    state._register_vertex(vid, x_init)
-    t0 = time.perf_counter()
-    history = CostHistory()
-    history.samples.append((0, time.perf_counter() - t0, _rrtstar_best_path_cost(state)))
-    for it in range(1, max_iterations + 1):
-        state.iteration = it
-        x_rand = sample_free(state.rng, scenario, params.sample_budget)
-        rrtstar_extend(state, x_rand)
-        if it % history_stride == 0:
-            history.samples.append(
-                (it, time.perf_counter() - t0, _rrtstar_best_path_cost(state))
-            )
-        if on_iteration is not None:
-            on_iteration(state, it)
-    best_vid, _ = state.best_goal()
-    best_path = _walk_best_path(state.graph, best_vid)
-    best_cost = _rrtstar_best_path_cost(state)
-    return PlanResult(
-        graph=state.graph,
-        best_path=best_path,
-        best_cost=best_cost,
-        cost_history=history,
-        state=state,
-    )
-
-
-def run_planner(
-    scenario: Scenario,
-    variant: AlgorithmVariant,
-    max_iterations: int,
-    seed: int | tuple[int, ...],
-    history_stride: int = 10,
     **kwargs,
 ) -> PlanResult:
-    """Dispatch to ``plan`` or ``plan_rrtstar`` by variant."""
-    if variant is AlgorithmVariant.RRTSTAR_BASELINE:
-        return plan_rrtstar(scenario, max_iterations, seed, history_stride, **kwargs)
-    return plan(scenario, variant, max_iterations, seed, history_stride, **kwargs)
+    """``plan`` for the rewiring baseline."""
+    baseline = AlgorithmVariant.RRTSTAR_BASELINE
+    return plan(scenario, baseline, max_iterations, seed, history_stride, **kwargs)

@@ -281,20 +281,11 @@ class SeededRng:
     every platform.  Trials derive their streams from (base_seed, trial).
     """
 
-    algorithm_name = "pcg64"
-
     def __init__(self, seed: int | tuple[int, ...]) -> None:
-        self.seed_material = seed
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def uniform_point(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return self._gen.uniform(lo, hi)
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return float(self._gen.uniform(lo, hi))
-
-    def integers(self, lo: int, hi: int) -> int:
-        return int(self._gen.integers(lo, hi))
 
 
 def sample_free(

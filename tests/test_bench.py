@@ -7,6 +7,7 @@ independent check: a Bellman-Ford relaxation sweep over the same graph.
 import math
 from array import array
 
+import numpy as np
 import pytest
 
 from rrtsharp.bench import (
@@ -159,9 +160,11 @@ def test_verify_consistency_no_goal_everything_must_be_consistent():
 
 def test_trial_seed_is_variant_independent():
     assert trial_seed(42, 3) == (42, 3)
+    lo, hi = np.zeros(2), np.ones(2)
     a = SeededRng(trial_seed(42, 3))
     b = SeededRng(trial_seed(42, 3))
-    assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
+    draws_a = [a.uniform_point(lo, hi).tolist() for _ in range(100)]
+    assert draws_a == [b.uniform_point(lo, hi).tolist() for _ in range(100)]
 
 
 def test_matched_trials_share_sample_streams_across_variants():
@@ -286,10 +289,13 @@ def test_stats_csv_rows_shape():
 
 def test_time_ratio_positive_and_aligned():
     sc = load_scenario(scenario_path("d2_empty"))
-    ratios = time_ratio(
-        sc, [AlgorithmVariant.RRTSHARP_V2], 1, 120, base_seed=0, eta=0.15,
-        history_stride=40,
-    )
-    pairs = ratios[AlgorithmVariant.RRTSHARP_V2]
+    v2, star = AlgorithmVariant.RRTSHARP_V2, AlgorithmVariant.RRTSTAR_BASELINE
+    stats = run_trials(sc, [v2, star], 1, 120, base_seed=0, eta=0.15, history_stride=40)
+    ratios = time_ratio({v2: stats[v2]}, stats[star])
+    assert list(ratios) == [v2]
+    pairs = ratios[v2]
     assert [it for it, _ in pairs] == [40, 80, 120]
     assert all(r > 0.0 for _, r in pairs)
+    # Each ratio is the quotient of the two variants' mean elapsed times.
+    for idx, (_, r) in enumerate(pairs, start=1):
+        assert r == stats[v2].mean_elapsed_s[idx] / stats[star].mean_elapsed_s[idx]

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from rrtsharp import bench
 from rrtsharp.cli import run_cli
 from rrtsharp.nngraph import parse_graph_dump
 from rrtsharp.scenarios import scenario_path
@@ -110,6 +111,30 @@ def test_compare_writes_stats_and_time_ratio(tmp_path):
         _, it, r = row.split(",")
         assert int(it) > 0
         assert float(r) > 0.0
+
+
+@pytest.mark.parametrize(
+    "algo, listed",
+    [("v0,rrtstar", {"rrtsharp-v0", "rrtstar"}), ("v0", {"rrtsharp-v0"})],
+)
+def test_compare_runs_each_trial_once(tmp_path, monkeypatch, algo, listed):
+    """Time ratios reuse the timed trials; the baseline's trials run extra,
+    after the requested variants, only when it was not requested."""
+    seen = []
+    plain = bench.run_planner
+
+    def counted(*args, **kwargs):
+        seen.append(args[1].value)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_planner", counted)
+    assert run_args(
+        "compare", "--scenario", D2_EMPTY, "--algo", algo, "--iters", "20",
+        "--trials", "2", "--stride", "10", "--out", str(tmp_path / "cmp"),
+    ) == 0
+    assert seen == ["rrtsharp-v0"] * 2 + ["rrtstar"] * 2
+    ratio = (tmp_path / "cmp" / "time_ratio.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in ratio} == listed
 
 
 def test_compare_cost_columns_deterministic(tmp_path):
@@ -229,7 +254,8 @@ def test_out_of_range_flag_exits_one_naming_it(tmp_path, capsys, command, flag, 
     assert not (tmp_path / "o").exists()
 
 
-def test_sampling_budget_exit_two(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_sampling_budget_exit_two(tmp_path, capsys, command):
     starved = tmp_path / "starved.json"
     starved.write_text(json.dumps({
         "dimension": 2,
@@ -240,11 +266,12 @@ def test_sampling_budget_exit_two(tmp_path, capsys):
         "goal": {"min": [0.4, 1.0 - 1e-12], "max": [0.6, 1.0]},
     }))
     code = run_args(
-        "run", "--scenario", str(starved), "--algo", "v0", "--iters", "5",
+        command, "--scenario", str(starved), "--algo", "v0", "--iters", "5",
         "--out", str(tmp_path / "o"),
     )
     assert code == 2
     assert "no free sample" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_fault_flag_hidden_from_help(capsys):

@@ -86,11 +86,10 @@ def test_insert_vertex_defaults():
     g = Graph(2, gamma=1.0, eta=0.3)
     vid = g.insert_vertex((0.25, 0.75))
     assert vid == 0
-    view = g.vertex(vid)
-    assert view.position == (0.25, 0.75)
-    assert math.isinf(view.g) and math.isinf(view.lmc)
-    assert view.parent == NO_PARENT
-    assert view.neighbors == ()
+    assert g.positions[vid] == (0.25, 0.75)
+    assert math.isinf(g.g[vid]) and math.isinf(g.lmc[vid])
+    assert g.parent[vid] == NO_PARENT
+    assert list(g.neighbors[vid]) == [] and list(g.costs[vid]) == []
     assert len(g) == 1
     with pytest.raises(ValueError):
         g.insert_vertex((0.1, 0.2, 0.3))

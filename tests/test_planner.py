@@ -7,10 +7,11 @@ propagates the improvement and lands exactly on the Dijkstra distances.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
-from rrtsharp import bench
+from rrtsharp import bench, planner
 from rrtsharp.planner import (
     AlgorithmVariant,
     ExtendStatus,
@@ -19,7 +20,6 @@ from rrtsharp.planner import (
     RRTStarState,
     VertexCategory,
     classify_values,
-    classify_vertex,
     compute_key,
     extend,
     gamma_rrg,
@@ -35,7 +35,6 @@ from rrtsharp.pqueue import INFINITE_KEY, Key, key_lt
 from rrtsharp.space import (
     AxisBox,
     Scenario,
-    SeededRng,
     edge_cost,
     heuristic,
     load_scenario,
@@ -60,7 +59,7 @@ def open_world(goal_lo, goal_hi, bound=2.0):
 
 
 def fresh_state(scenario, variant=AlgorithmVariant.RRTSHARP_V0, eta=0.6, gamma=10.0):
-    params = PlannerParams(eta=eta, gamma=gamma, max_iterations=0)
+    params = PlannerParams(eta=eta, gamma=gamma)
     return make_planner_state(scenario, variant, params, seed=0)
 
 
@@ -129,15 +128,15 @@ def test_update_queue_three_way():
     sc = open_world([1.7, 1.7], [1.9, 1.9])
     state = fresh_state(sc)
     # Bootstrap: inconsistent, so it must be queued.
-    assert state.vertex_in_queue(0)
+    assert state.queue.contains(0)
     # Make it consistent by hand: update_queue must remove it.
     state.graph.g[0] = 0.0
     update_queue(state, 0)
-    assert not state.vertex_in_queue(0)
+    assert not state.queue.contains(0)
     # Inconsistent again with a new key: re-inserted.
     state.graph.g[0] = 5.0
     update_queue(state, 0)
-    assert state.vertex_in_queue(0)
+    assert state.queue.contains(0)
     k = state.queue.key_of(0)
     assert k == compute_key(state, 0)
     # Same membership, new key: updated in place.
@@ -165,7 +164,8 @@ def test_gate_unreachable_neighborhood_only_v0_includes():
         if variant is AlgorithmVariant.RRTSHARP_V0:
             assert state.graph.lmc[vid] == INF
             assert state.graph.parent[vid] == 0
-            assert classify_vertex(state, vid) is VertexCategory.CONSISTENT_INFINITE
+            category = classify_values(state.graph.g[vid], state.graph.lmc[vid])
+            assert category is VertexCategory.CONSISTENT_INFINITE
         else:
             assert len(state.graph) == 1
 
@@ -274,12 +274,9 @@ def drive_sharp(scenario, samples, eta=0.6, gamma=10.0):
 
 
 def drive_star(scenario, samples, eta=0.6, gamma=10.0):
-    params = PlannerParams(eta=eta, gamma=gamma, max_iterations=0)
-    state = RRTStarState(scenario, params, SeededRng(0))
-    vid = state.graph.insert_vertex(tuple(map(float, scenario.x_init)))
-    state.graph.g[vid] = 0.0
-    state.graph.lmc[vid] = 0.0
-    state._register_vertex(vid, scenario.x_init)
+    state = fresh_state(scenario, AlgorithmVariant.RRTSTAR_BASELINE, eta, gamma)
+    assert isinstance(state, RRTStarState)
+    assert (state.graph.g[0], state.graph.lmc[0]) == (0.0, 0.0)
     for x in samples:
         status, _ = rrtstar_extend(state, x)
         assert status is ExtendStatus.EXTENDED
@@ -450,13 +447,56 @@ def test_plan_argument_validation():
         plan(sc, AlgorithmVariant.RRTSHARP_V0, -1, seed=0, eta=0.15)
     with pytest.raises(ValueError):
         plan(sc, AlgorithmVariant.RRTSHARP_V0, 10, seed=0, history_stride=0, eta=0.15)
-    with pytest.raises(ValueError):
-        make_planner_state(
-            sc,
-            AlgorithmVariant.RRTSTAR_BASELINE,
-            PlannerParams(eta=0.15, gamma=1.0, max_iterations=0),
-            seed=0,
-        )
+
+
+BOTH_FAMILIES = pytest.mark.parametrize(
+    "variant",
+    [AlgorithmVariant.RRTSHARP_V0, AlgorithmVariant.RRTSTAR_BASELINE],
+    ids=["v0", "rrtstar"],
+)
+
+
+@BOTH_FAMILIES
+@pytest.mark.parametrize(
+    "eta, gamma",
+    [(math.nan, None), (INF, None), (0.0, None), (0.15, math.nan), (0.15, -1.0)],
+    ids=["eta-nan", "eta-inf", "eta-0", "gamma-nan", "gamma-neg"],
+)
+def test_non_finite_or_nonpositive_radii_rejected(variant, eta, gamma):
+    sc = load_scenario(scenario_path("d2_clutter"))
+    with pytest.raises(ValueError, match="finite and positive"):
+        run_planner(sc, variant, 50, 0, 10, eta=eta, gamma=gamma)
+
+
+@BOTH_FAMILIES
+def test_run_loop_reaches_steps_through_module_globals(monkeypatch, variant):
+    """Tracers patch these planner module attributes; the run loop must look
+    each one up when it calls it, for either family."""
+    calls = Counter()
+    outcomes = Counter()
+
+    def count(name):
+        original = getattr(planner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = original(*args, **kwargs)
+            if name.endswith("extend"):
+                outcomes[out[0]] += 1
+            return out
+
+        monkeypatch.setattr(planner, name, wrapper)
+
+    for name in ("sample_free", "extend", "rrtstar_extend", "reduce_inconsistency"):
+        count(name)
+    sc = load_scenario(scenario_path("d2_empty"))
+    result = run_planner(sc, variant, 50, 0, 10, eta=0.15)
+    baseline = variant is AlgorithmVariant.RRTSTAR_BASELINE
+    assert calls["sample_free"] == 50
+    assert calls["rrtstar_extend" if baseline else "extend"] == 50
+    assert calls["extend" if baseline else "rrtstar_extend"] == 0
+    assert calls["reduce_inconsistency"] == (0 if baseline else 51)
+    assert outcomes[ExtendStatus.EXTENDED] + 1 == len(result.graph)
 
 
 def test_observer_called_every_iteration():
