@@ -3,11 +3,23 @@
 Vertices are numbered 0, 1, 2, ... in insertion order (vertex 0 is the start
 state).  Each vertex carries a position, the two cost-to-come estimates g and
 lmc, a parent pointer and an adjacency list of 32-bit neighbor ids with a
-parallel list of edge costs.  Positions are mirrored into a contiguous numpy
-buffer, stored relative to vertex 0 so squared distances do not cancel far
-from the origin, and nearest/near queries run as vectorized scans over it; a
-candidate produced by the vectorized pass is re-checked with exact float
-arithmetic so results match a plain linear scan.
+parallel list of edge costs.
+
+Positions are mirrored into raw-coordinate columns, one contiguous float64
+row per axis.  A neighbor query fills a preallocated scratch vector with the
+squared distances from every vertex, computed per axis from coordinate
+differences, so its rounding error is relative to each distance and not to
+the size of the world.  The vectorized pass only preselects: its bound is
+widened by a relative slack of 1e-9, and every vertex it keeps is re-checked
+with ``math.dist``, so ``nearest`` (lowest id on ties) and ``near`` return
+exactly what a linear scan with ``math.dist`` returns, wherever the world
+lies.
+
+An extension asks for ``nearest(x_rand)`` and then ``near(x_new, n)``.  When
+no vertex has been inserted in between, ``near`` reuses the vector
+``nearest`` left: by the triangle inequality every vertex within r of x_new
+lies within ``r + dist(x_rand, x_new)`` of x_rand, so one pass over the
+graph serves both queries.
 """
 
 from __future__ import annotations
@@ -24,6 +36,13 @@ from .space import Point
 INF = math.inf
 
 NO_PARENT = -1
+
+# A vectorized squared distance errs by a few ulps relative to itself (only
+# underflow adds an absolute error, below _FLOOR); preselection widens every
+# bound by _SLACK relative plus _FLOOR so no vertex the exact re-check would
+# keep is missed.
+_SLACK = 1e-9
+_FLOOR = 1e-300
 
 
 def steer(from_point: Point, toward: Point, eta: float) -> Point:
@@ -65,22 +84,25 @@ class Graph:
         self.neighbors: list[array] = []
         self.costs: list[array] = []
         self.edge_count = 0
-        self._origin: np.ndarray | None = None
         self._cap = 256
-        self._buf = np.empty((self._cap, dimension), dtype=np.float64)
-        self._sqnorm = np.empty(self._cap, dtype=np.float64)
+        self._cols = np.empty((dimension, self._cap), dtype=np.float64)
+        # After nearest(q), _d2 holds every vertex's squared distance to
+        # _scanned = q until the next insert_vertex (None: no reusable scan).
+        self._d2 = np.empty(self._cap, dtype=np.float64)
+        self._tmp = np.empty(self._cap, dtype=np.float64)
+        self._scanned: Point | None = None
 
     def __len__(self) -> int:
         return len(self.positions)
 
     def _grow(self) -> None:
+        n = len(self.positions)
         self._cap *= 2
-        buf = np.empty((self._cap, self.dimension), dtype=np.float64)
-        buf[: len(self.positions)] = self._buf[: len(self.positions)]
-        self._buf = buf
-        sq = np.empty(self._cap, dtype=np.float64)
-        sq[: len(self.positions)] = self._sqnorm[: len(self.positions)]
-        self._sqnorm = sq
+        cols = np.empty((self.dimension, self._cap), dtype=np.float64)
+        cols[:, :n] = self._cols[:, :n]
+        self._cols = cols
+        self._d2 = np.empty(self._cap, dtype=np.float64)
+        self._tmp = np.empty(self._cap, dtype=np.float64)
 
     def insert_vertex(self, p: Point) -> int:
         """Append a vertex with g = lmc = inf and no parent; returns its id."""
@@ -97,12 +119,8 @@ class Graph:
         self.parent.append(NO_PARENT)
         self.neighbors.append(array("i"))
         self.costs.append(array("d"))
-        row = np.asarray(p, dtype=np.float64)
-        if self._origin is None:
-            self._origin = row
-        row = row - self._origin
-        self._buf[vid] = row
-        self._sqnorm[vid] = float(row @ row)
+        self._cols[:, vid] = p
+        self._scanned = None
         return vid
 
     def add_edge(self, u: int, v: int, cost: float) -> None:
@@ -114,17 +132,36 @@ class Graph:
         self.costs[v].append(cost)
         self.edge_count += 1
 
-    def _dist2(self, x: Point) -> np.ndarray:
+    def _scan(self, x: Point) -> np.ndarray:
+        """Fill the scratch vector with every vertex's squared distance to x."""
         n = len(self.positions)
-        q = np.asarray(x, dtype=np.float64) - self._origin
-        d2 = self._sqnorm[:n] - 2.0 * (self._buf[:n] @ q) + float(q @ q)
+        cols = self._cols
+        d2 = self._d2[:n]
+        tmp = self._tmp[:n]
+        np.subtract(cols[0, :n], x[0], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for k in range(1, self.dimension):
+            np.subtract(cols[k, :n], x[k], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(d2, tmp, out=d2)
         return d2
 
     def nearest(self, x: Point) -> int:
         """Vertex id minimising Euclidean distance to x; ties pick lowest id."""
         if not self.positions:
             raise ValueError("nearest() on empty graph")
-        return int(np.argmin(self._dist2(x)))
+        d2 = self._scan(x)
+        self._scanned = tuple(x)
+        best = int(d2.argmin())
+        cand = np.flatnonzero(d2 <= d2[best] * (1.0 + _SLACK) + _FLOOR)
+        if len(cand) > 1:
+            positions = self.positions
+            best_d = INF
+            for vid in cand.tolist():
+                d = math.dist(positions[vid], x)
+                if d < best_d:
+                    best, best_d = vid, d
+        return best
 
     def radius(self, n: int) -> float:
         """Connection radius for vertex count n (0.0 when n <= 1)."""
@@ -136,21 +173,27 @@ class Graph:
         """Ids of vertices with 0 < dist(v, x) < radius(n), ascending.
 
         ``n`` is the vertex count used for the radius; callers pass the
-        current count.  Vertices exactly at x are excluded.  The vectorized
-        preselection uses a small slack and every candidate is re-checked
-        with exact distances, so the result matches a linear scan.
+        current count.  Vertices exactly at x are excluded.  Right after
+        ``nearest(q)``, with no vertex inserted since, the preselection reuses
+        q's scan with the bound ``r + dist(q, x)``; otherwise it scans for x.
+        Either way every candidate is re-checked with exact distances, so the
+        result matches a linear scan.
         """
         r = self.radius(n)
         if r <= 0.0 or not self.positions:
             return []
-        r2 = r * r
-        d2 = self._dist2(x)
-        cand = np.nonzero(d2 <= r2 * (1.0 + 1e-9) + 1e-18)[0]
+        q = self._scanned
+        if q is None:
+            d2 = self._scan(x)
+            reach = r
+        else:
+            d2 = self._d2[: len(self.positions)]
+            reach = r + math.dist(q, x)
+        cand = np.flatnonzero(d2 <= reach * reach * (1.0 + _SLACK) + _FLOOR)
+        positions = self.positions
         out: list[int] = []
-        for idx in cand:
-            vid = int(idx)
-            dist = math.dist(self.positions[vid], x)
-            if 0.0 < dist < r:
+        for vid in cand.tolist():
+            if 0.0 < math.dist(positions[vid], x) < r:
                 out.append(vid)
         return out
 

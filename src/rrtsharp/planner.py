@@ -264,15 +264,19 @@ class RRTStarState(RunState):
     def reported_cost(self) -> float:
         """Edge-cost sum along the best goal vertex's parent chain, added from
         the goal back: the realizable cost, which differs from the stored one
-        when a rewire upstream left the chain's stored values stale."""
+        when a rewire upstream left the chain's stored values stale.  Each
+        edge's cost is read from the graph's adjacency, where it was cached
+        when the edge was added."""
         best_vid, best = self.best_goal()
         if best_vid is None or math.isinf(best):
             return INF
-        positions = self.graph.positions
+        neighbors = self.graph.neighbors
+        costs = self.graph.costs
         path = _walk_best_path(self.graph, best_vid)
         total = 0.0
         for k in range(len(path) - 1, 0, -1):
-            total += edge_cost(positions[path[k - 1]], positions[path[k]], self.scenario)
+            child = path[k]
+            total += costs[child][neighbors[child].index(path[k - 1])]
         return total
 
 

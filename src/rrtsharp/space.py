@@ -169,6 +169,14 @@ def validate_scenario(sc: Scenario) -> Scenario:
     return sc
 
 
+def _to_float(x: int | float) -> float:
+    """``x`` as a float; an integer too large for a float reads as inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _point(raw: Any, where: str) -> Point:
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ScenarioError(f"{where}: expected a non-empty list of numbers")
@@ -176,7 +184,10 @@ def _point(raw: Any, where: str) -> Point:
     for k, x in enumerate(raw):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise ScenarioError(f"{where}[{k}]: expected a number")
-        out.append(float(x))
+        value = _to_float(x)
+        if not math.isfinite(value):
+            raise ScenarioError(f"{where}[{k}]: must be a finite number")
+        out.append(value)
     return tuple(out)
 
 
@@ -252,8 +263,11 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         coef = raw["coefficient"]
         if not isinstance(coef, (int, float)) or isinstance(coef, bool) or not coef > 0:
             raise ScenarioError(f"zones[{i}].coefficient: must be a number > 0")
+        coef = _to_float(coef)
+        if not math.isfinite(coef):
+            raise ScenarioError(f"zones[{i}].coefficient: must be a finite number")
         box = _box({"min": raw.get("min"), "max": raw.get("max")}, f"zones[{i}]")
-        zones.append(CostZone(box, float(coef)))
+        zones.append(CostZone(box, coef))
 
     x_init = _point(data["x_init"], "x_init")
     goal = _box(data["goal"], "goal")

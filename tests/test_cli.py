@@ -254,6 +254,45 @@ def test_out_of_range_flag_exits_one_naming_it(tmp_path, capsys, command, flag, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, path, value, field",
+    [
+        ("run", ("bounds", "max", 0), math.inf, "bounds.max[0]"),
+        ("run", ("x_init", 1), math.nan, "x_init[1]"),
+        ("run", ("zones", 0, "coefficient"), math.inf, "zones[0].coefficient"),
+        ("check", ("goal", "max", 0), -math.inf, "goal.max[0]"),
+        ("compare", ("bounds", "min", 1), math.nan, "bounds.min[1]"),
+    ],
+    ids=["run-bounds", "run-x_init", "run-coefficient", "check-goal", "compare-bounds"],
+)
+def test_non_finite_scenario_number_exits_one_naming_it(
+    tmp_path, capsys, command, path, value, field
+):
+    data = {
+        "dimension": 2,
+        "bounds": {"min": [0, 0], "max": [1, 1]},
+        "obstacles": [],
+        "zones": [{"min": [0.0, 0.7], "max": [1.0, 0.9], "coefficient": 2.0}],
+        "x_init": [0.1, 0.1],
+        "goal": {"min": [0.8, 0.1], "max": [0.9, 0.2]},
+    }
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))  # NaN / Infinity / -Infinity tokens
+    code = run_args(
+        command, "--scenario", str(bad), "--algo", "v0", "--iters", "5",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}: must be a finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_sampling_budget_exit_two(tmp_path, capsys, command):
     starved = tmp_path / "starved.json"

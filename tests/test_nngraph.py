@@ -217,6 +217,121 @@ def test_near_uses_given_count_for_radius():
     assert g.near((0.25, 0.0), 0) == []
 
 
+# ------------------------------------------------- wide world, reuse path
+
+# A world of extent about 1e3 at the planners' eta: vertex 0 sits at the
+# origin and the rest about 1e3 away, so a kernel whose rounding error
+# scales with |x|^2 (rather than with the distance) misjudges distances at
+# the scale of eta.
+WIDE_ETA = 0.15
+
+
+def wide_graph(dim, n, seed, lo=999.5, hi=1000.0):
+    """Vertex 0 at the origin plus n uniform vertices in [lo, hi]^dim; the
+    huge gamma caps the radius at WIDE_ETA for every n."""
+    rng = np.random.default_rng(seed)
+    g = Graph(dim, gamma=1e6, eta=WIDE_ETA)
+    points = [(0.0,) * dim] + [tuple(rng.uniform(lo, hi, dim)) for _ in range(n)]
+    for p in points:
+        g.insert_vertex(p)
+    return g, points, rng
+
+
+def unit(rng, dim):
+    u = rng.normal(size=dim)
+    return u / np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("dim", (2, 5))
+def test_near_exact_at_radius_in_wide_world(dim):
+    g, points, rng = wide_graph(dim, 0, seed=30 + dim)
+    centers = [rng.uniform(900.0, 1000.0, dim) for _ in range(40)]
+    for c in centers:
+        for s in (-1e-10, 1e-10):  # just inside, just outside the radius
+            for _ in range(5):
+                p = tuple(c + WIDE_ETA * (1.0 + s) * unit(rng, dim))
+                g.insert_vertex(p)
+                points.append(p)
+    n = len(points)
+    r = g.radius(n)
+    assert r == WIDE_ETA
+    inside = 0
+    for c in centers:
+        x = tuple(c)
+        want = brute_near(points, x, r)
+        assert g.near(x, n) == want
+        inside += len(want)
+    assert inside >= len(centers)  # the inner shells are really found
+
+
+def test_nearest_equidistant_ties_pick_lowest_id_in_wide_world():
+    rng = np.random.default_rng(40)
+    for dim in (2, 3, 5):
+        g, points, _ = wide_graph(dim, 0, seed=0)
+        queries = []
+        for k in range(60):
+            # Every coordinate in [512, 1024) is a multiple of 2**-43, so with
+            # v on that grid x + v, x - v and x + reversed(v) are exact and
+            # the four vertices are exactly equidistant from x.  Reversing
+            # the axes reorders the squared-distance sum, which can round
+            # differently, so only the exact re-check breaks these ties by
+            # id.  Queries sit about 2.5 apart on axis 0, so each group
+            # holds its query's nearest vertex.
+            x = rng.uniform(900.0, 1000.0, dim)
+            x[0] = 850.0 + 2.5 * k + rng.uniform(0.0, 1.0)
+            v = np.round(rng.uniform(-0.5, 0.5, dim) * 2.0**43) / 2.0**43
+            w = v[::-1]
+            group = [tuple(x + v), tuple(x - v), tuple(x + w), tuple(x - w)]
+            if k % 2:
+                group.reverse()
+            for p in group:
+                g.insert_vertex(p)
+                points.append(p)
+            assert len({math.dist(p, tuple(x)) for p in group}) == 1
+            queries.append(tuple(x))
+        for x in queries:
+            want = brute_nearest(points, x)
+            assert g.nearest(x) == want
+            assert math.dist(points[want + 1], x) == math.dist(points[want], x)
+
+
+@pytest.mark.parametrize("dim", (2, 5))
+def test_near_after_nearest_matches_linear_scan(dim):
+    # near(x) right after nearest(q) preselects from q's squared distances;
+    # x == q, x a truncated steer toward q, and x far from q.
+    g, points, rng = wide_graph(dim, 600, seed=50 + dim)
+    n = len(points)
+    r = g.radius(n)
+    truncated = 0
+    for _ in range(40):
+        q = tuple(rng.uniform(999.5 - 0.3, 1000.0 + 0.3, dim))
+        v = g.nearest(q)
+        assert v == brute_nearest(points, q)
+        x_steer = steer(points[v], q, WIDE_ETA)
+        truncated += x_steer != q
+        x_far = tuple(rng.uniform(999.5, 1000.0, dim))
+        for x in (q, x_steer, x_far):
+            g.nearest(q)
+            assert g.near(x, n) == brute_near(points, x, r)
+    assert truncated > 0
+
+
+def test_near_after_insert_rescans():
+    g, points, rng = wide_graph(2, 300, seed=60)
+    q = tuple(rng.uniform(999.5, 1000.0, 2))
+    g.nearest(q)
+    # The scan filled only the first len(g) slots of the scratch vector;
+    # make a stale read of the next slot lose the vertex inserted there.
+    g._d2[len(g)] = math.inf
+    p = (q[0] + 0.5 * WIDE_ETA, q[1])
+    vid = g.insert_vertex(p)
+    points.append(p)
+    n = len(points)
+    got = g.near(q, n)
+    assert got == brute_near(points, q, g.radius(n))
+    assert vid in got
+
+
 # ----------------------------------------------------------------- dump
 
 

@@ -396,6 +396,47 @@ def test_cached_edge_costs_match_geometry(name, variant):
     assert entries == 2 * graph.edge_count > 0
 
 
+@pytest.mark.parametrize("name", ["d2_zones", "d2_clutter"])
+def test_rrtstar_reported_cost_reads_cached_costs(name, monkeypatch):
+    # The baseline's reported cost sums the best path's cached edge costs; it
+    # must equal the edge_cost sum from geometry, added from the goal back,
+    # bit for bit, and compute no edge cost itself.
+    sc = load_scenario(scenario_path(name))
+    calls = Counter()
+    geometric_cost = planner.edge_cost
+
+    def counted_edge_cost(a, b, scenario):
+        calls["edge_cost"] += 1
+        return geometric_cost(a, b, scenario)
+
+    monkeypatch.setattr(planner, "edge_cost", counted_edge_cost)
+    checked = []
+
+    def observer(state, iteration):
+        if iteration % 50:
+            return
+        before = calls["edge_cost"]
+        reported = state.reported_cost()
+        assert calls["edge_cost"] == before
+        best_vid, best = state.best_goal()
+        if best_vid is None:
+            assert reported == INF
+            return
+        path = planner._walk_best_path(state.graph, best_vid)
+        positions = state.graph.positions
+        want = 0.0
+        for k in range(len(path) - 1, 0, -1):
+            want += geometric_cost(positions[path[k - 1]], positions[path[k]], sc)
+        assert reported == want
+        checked.append(reported)
+
+    run_planner(
+        sc, AlgorithmVariant.RRTSTAR_BASELINE, 800, (5, 0), 100, eta=0.15,
+        on_iteration=observer,
+    )
+    assert len(checked) >= 4
+
+
 def test_plan_deterministic_for_fixed_seed():
     sc = load_scenario(scenario_path("d2_empty"))
     r1 = plan(sc, AlgorithmVariant.RRTSHARP_V0, 300, seed=7, history_stride=50, eta=0.15)

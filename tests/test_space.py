@@ -481,6 +481,62 @@ def test_load_scenario_error_names_offending_field(tmp_path):
         load_scenario(tmp_path / "missing.json")
 
 
+NON_FINITE_FIELDS = [
+    # (path into the scenario, field name the error must carry)
+    (("bounds", "max", 0), "bounds.max[0]"),
+    (("bounds", "min", 1), "bounds.min[1]"),
+    (("obstacles", 0, "min", 0), "obstacles[0].min[0]"),
+    (("zones", 0, "max", 1), "zones[0].max[1]"),
+    (("x_init", 0), "x_init[0]"),
+    (("goal", "min", 1), "goal.min[1]"),
+]
+
+
+def finite_world():
+    return {
+        "dimension": 2,
+        "bounds": {"min": [0, 0], "max": [1, 1]},
+        "obstacles": [{"min": [0.4, 0.4], "max": [0.6, 0.6]}],
+        "zones": [{"min": [0.0, 0.7], "max": [1.0, 0.9], "coefficient": 2.0}],
+        "x_init": [0.1, 0.1],
+        "goal": {"min": [0.8, 0.1], "max": [0.9, 0.2]},
+    }
+
+
+def set_path(data, path, value):
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+    ids=["NaN", "Infinity", "-Infinity", "int-1e400"],
+)
+@pytest.mark.parametrize("path, field", NON_FINITE_FIELDS, ids=[f for _, f in NON_FINITE_FIELDS])
+def test_loader_rejects_non_finite_numbers(tmp_path, path, field, token):
+    # Python's json reads NaN and Infinity as floats, and a long integer
+    # literal as an int too large for a float; the loader takes none of them.
+    data = finite_world()
+    set_path(data, path, "@")
+    file = tmp_path / "world.json"
+    file.write_text(json.dumps(data).replace('"@"', token))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(file)
+    assert str(info.value) == f"{field}: must be a finite number"
+
+
+@pytest.mark.parametrize("coefficient", [math.inf, 10**400], ids=["inf", "huge-int"])
+def test_loader_rejects_infinite_zone_coefficient(coefficient):
+    data = finite_world()
+    data["zones"][0]["coefficient"] = coefficient
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(data)
+    assert str(info.value) == "zones[0].coefficient: must be a finite number"
+
+
 def test_zones_may_share_faces():
     data = {
         "dimension": 2,
