@@ -1,7 +1,8 @@
 """Benchmark command line: run, compare and check subcommands.
 
 Exit codes: 0 success, 1 invalid scenario or arguments, 2 sampling budget
-exhausted, 3 invariant violation detected by ``check``.
+exhausted, 3 invariant violation (detected by ``check``, or raised by the
+planner in any subcommand).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import bench
 from .nngraph import dump_graph
 from .planner import (
     AlgorithmVariant,
+    InvariantViolation,
     PlannerState,
     RunState,
     classify_values,
@@ -327,7 +329,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for token in raw.split(","):
             token = token.strip()
             if token:
-                snapshot.append(int(token))
+                try:
+                    snapshot.append(int(token))
+                except ValueError:
+                    raise ValueError(
+                        f"--snapshot: expected comma-separated integers, got {token!r}"
+                    ) from None
     return RunConfig(
         scenario_path=args.scenario,
         algo=args.algo,
@@ -355,11 +362,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "run":
-        return cmd_run(config)
-    if args.command == "compare":
-        return cmd_compare(config)
-    return cmd_check(config)
+    command = {"run": cmd_run, "compare": cmd_compare, "check": cmd_check}[args.command]
+    try:
+        return command(config)
+    except InvariantViolation as exc:
+        print(f"error: invariant violation: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -46,6 +46,11 @@ INF = math.inf
 # Collision-free connections of a steered point: (vertex id, edge cost).
 Pairs = list[tuple[int, float]]
 
+# Stars of fewer candidate edges are checked against every box: below this
+# size the star's bounding box and the box tests cost about what they save
+# (timed per star size on d5_boxes, d2_clutter and d2_zones).
+CULL_MIN_CANDIDATES = 5
+
 
 class InvariantViolation(RuntimeError):
     """An internal planner invariant failed; indicates a bug, not bad input."""
@@ -317,7 +322,11 @@ def _connections(
     the extension is REJECTED or COLLISION_BLOCKED.  The candidates are the
     r-disc neighborhood plus the nearest vertex itself, so the steering edge
     always exists when a vertex is kept; ``free_pairs`` holds the
-    collision-free ones with their exact edge costs, ascending id.
+    collision-free ones with their exact edge costs, ascending id.  A star
+    of at least ``CULL_MIN_CANDIDATES`` candidate edges is checked and
+    costed against only the obstacles and zones near it
+    (``Scenario.within``), which leaves every verdict and cost
+    bit-identical.
     """
     graph = state.graph
     scenario = state.scenario
@@ -336,11 +345,19 @@ def _connections(
         candidates.append(v_nearest)
         candidates.sort()
 
+    points = [positions[u] for u in candidates]
+    local = scenario
+    if len(points) >= CULL_MIN_CANDIDATES:
+        # Every candidate edge ends at x_new, so the star's bounding box
+        # holds them all; boxes it is separated from cannot touch any.
+        lo = tuple(map(min, x_new, *points))
+        hi = tuple(map(max, x_new, *points))
+        local = scenario.within(lo, hi)
     free_pairs: Pairs = []
-    for u in candidates:
-        if u != v_nearest and not segment_obstacle_free(positions[u], x_new, scenario):
+    for u, p in zip(candidates, points):
+        if u != v_nearest and not segment_obstacle_free(p, x_new, local):
             continue
-        free_pairs.append((u, edge_cost(positions[u], x_new, scenario)))
+        free_pairs.append((u, edge_cost(p, x_new, local)))
     return (None, x_new, v_nearest, free_pairs)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -136,12 +137,66 @@ class Scenario:
             v -= self.bounds.clipped_volume(ob)
         return max(v, 1e-12)
 
+    def within(self, lo: Sequence[float], hi: Sequence[float]) -> "Scenario":
+        """This scenario with only the obstacles and zones whose boxes the
+        closed box [lo, hi] is not axis-separated from, in their original
+        order.
+
+        Exact for every segment with both endpoints in [lo, hi]: both
+        endpoints lie on or beyond one face of each dropped box, where the
+        slab clip finds no interval, so collision verdicts and edge costs
+        are the same bit for bit.
+        """
+        obstacles, zones = self._boxed_items
+        obstacles = _not_separated(obstacles, lo, hi)
+        zones = _not_separated(zones, lo, hi)
+        if not obstacles and not zones:
+            return self._bare
+        return Scenario(
+            self.bounds, tuple(obstacles), tuple(zones), self.x_init,
+            self.goal, self.default_coefficient, self.metadata,
+        )
+
+    @cached_property
+    def _boxed_items(self) -> tuple[list, list]:
+        """``(lo, hi, item)`` for every obstacle and for every zone."""
+        return (
+            [(ob.lo, ob.hi, ob) for ob in self.obstacles],
+            [(zn.box.lo, zn.box.hi, zn) for zn in self.zones],
+        )
+
+    @cached_property
+    def _bare(self) -> "Scenario":
+        """This scenario without obstacles or zones, built once: the
+        restriction to a box that touches none of them."""
+        return Scenario(
+            self.bounds, (), (), self.x_init, self.goal,
+            self.default_coefficient, self.metadata,
+        )
+
+
+def _not_separated(boxed: list, lo: Sequence[float], hi: Sequence[float]) -> list:
+    """The items of ``(box lo, box hi, item)`` entries whose box the closed
+    box [lo, hi] is not axis-separated from, in order: on every axis the
+    two overlap in more than a point."""
+    axes = range(len(lo))
+    kept = []
+    for blo, bhi, item in boxed:
+        for i in axes:
+            if blo[i] >= hi[i] or bhi[i] <= lo[i]:
+                break
+        else:
+            kept.append(item)
+    return kept
+
 
 def validate_scenario(sc: Scenario) -> Scenario:
     """Check cross-field invariants, raising ScenarioError naming the field."""
     d = sc.dimension
     if d < 2:
         raise ScenarioError("dimension: must be at least 2")
+    if not math.isfinite(sc.bounds.volume()):
+        raise ScenarioError("bounds: volume must be finite")
     if len(sc.x_init) != d:
         raise ScenarioError("x_init: dimension mismatch with bounds")
     if not sc.bounds.contains(sc.x_init):
@@ -325,36 +380,44 @@ def sample_free(
     )
 
 
-def _segment_hits_interior(a: Point, b: Point, lo: Point, hi: Point) -> bool:
-    """Parametric slab test of segment a->b against the open box (lo, hi)."""
-    # Cheap separating-axis reject first, no divisions.
+def _clip_interior_interval(
+    a: Point, b: Point, lo: Point, hi: Point
+) -> tuple[float, float] | None:
+    """Parameter interval of segment a->b inside the open box (lo, hi), or
+    None.  This one parametric slab clip decides both collisions and zone
+    contributions.
+
+    Grazing contact (a touching face or single point) has zero measure and
+    returns None, so it neither blocks a segment nor adds to a line
+    integral.  When both endpoints lie on or beyond one face, the slab
+    arithmetic would find no interval either (rounding is monotone, so the
+    entry parameter computes as >= 1 or the exit parameter as <= 0); a
+    first pass over the axes answers that case without a division.
+    ``Scenario.within`` relies on it.
+    """
     for i in range(len(a)):
         ai = a[i]
         bi = b[i]
-        if ai <= lo[i] and bi <= lo[i]:
-            return False
-        if ai >= hi[i] and bi >= hi[i]:
-            return False
+        if (ai <= lo[i] and bi <= lo[i]) or (ai >= hi[i] and bi >= hi[i]):
+            return None
     t0 = 0.0
     t1 = 1.0
     for i in range(len(a)):
         ai = a[i]
         di = b[i] - ai
         if di == 0.0:
-            if not (lo[i] < ai < hi[i]):
-                return False
-        else:
-            u = (lo[i] - ai) / di
-            v = (hi[i] - ai) / di
-            if u > v:
-                u, v = v, u
-            if u > t0:
-                t0 = u
-            if v < t1:
-                t1 = v
-            if t0 >= t1:
-                return False
-    return t0 < t1
+            continue  # not separated, so lo[i] < ai < hi[i]
+        u = (lo[i] - ai) / di
+        v = (hi[i] - ai) / di
+        if u > v:
+            u, v = v, u
+        if u > t0:
+            t0 = u
+        if v < t1:
+            t1 = v
+        if t0 >= t1:
+            return None
+    return (t0, t1)
 
 
 def segment_obstacle_free(a: Point, b: Point, scenario: Scenario) -> bool:
@@ -363,39 +426,9 @@ def segment_obstacle_free(a: Point, b: Point, scenario: Scenario) -> bool:
     Touching an obstacle face is free; only interior penetration blocks.
     """
     for ob in scenario.obstacles:
-        if _segment_hits_interior(a, b, ob.lo, ob.hi):
+        if _clip_interior_interval(a, b, ob.lo, ob.hi) is not None:
             return False
     return True
-
-
-def _clip_interior_interval(
-    a: Point, b: Point, lo: Point, hi: Point
-) -> tuple[float, float] | None:
-    """Parameter interval of segment a->b inside the open box, or None.
-
-    Grazing contact (a touching face or single point) has zero measure and
-    returns None so it contributes nothing to line integrals.
-    """
-    t0 = 0.0
-    t1 = 1.0
-    for i in range(len(a)):
-        ai = a[i]
-        di = b[i] - ai
-        if di == 0.0:
-            if not (lo[i] < ai < hi[i]):
-                return None
-        else:
-            u = (lo[i] - ai) / di
-            v = (hi[i] - ai) / di
-            if u > v:
-                u, v = v, u
-            if u > t0:
-                t0 = u
-            if v < t1:
-                t1 = v
-            if t0 >= t1:
-                return None
-    return (t0, t1)
 
 
 def edge_cost(a: Point, b: Point, scenario: Scenario) -> float:

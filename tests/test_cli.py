@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from rrtsharp import bench
+from rrtsharp import bench, planner
 from rrtsharp.cli import run_cli
 from rrtsharp.nngraph import parse_graph_dump
+from rrtsharp.planner import InvariantViolation
 from rrtsharp.scenarios import scenario_path
 
 D2_EMPTY = str(scenario_path("d2_empty"))
@@ -240,6 +241,8 @@ def test_malformed_flags_exit_one(capsys):
         ("run", "--stride", "0"),
         ("check", "--stride", "0"),
         ("compare", "--trials", "0"),
+        ("run", "--snapshot", "abc"),
+        ("run", "--snapshot", "100,1.5"),
     ],
 )
 def test_out_of_range_flag_exits_one_naming_it(tmp_path, capsys, command, flag, value):
@@ -289,6 +292,45 @@ def test_non_finite_scenario_number_exits_one_naming_it(
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: {field}: must be a finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check", "compare"])
+def test_bounds_with_infinite_volume_exit_one_naming_it(tmp_path, capsys, command):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({
+        "dimension": 2,
+        "bounds": {"min": [-1e308, 0], "max": [1e308, 1]},
+        "obstacles": [],
+        "zones": [],
+        "x_init": [0.1, 0.1],
+        "goal": {"min": [0.8, 0.1], "max": [0.9, 0.2]},
+    }))
+    code = run_args(
+        command, "--scenario", str(huge), "--algo", "v0", "--iters", "5",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: bounds: volume must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check", "compare"])
+def test_invariant_violation_exits_three(tmp_path, capsys, monkeypatch, command):
+    def broken(state):
+        raise InvariantViolation("planted by the test")
+
+    monkeypatch.setattr(planner, "reduce_inconsistency", broken)
+    code = run_args(
+        command, "--scenario", D2_EMPTY, "--algo", "v0", "--iters", "5",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "error: invariant violation: planted by the test" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -38,6 +38,7 @@ from rrtsharp.space import (
     edge_cost,
     heuristic,
     load_scenario,
+    segment_obstacle_free,
 )
 from rrtsharp.scenarios import scenario_path
 
@@ -394,6 +395,53 @@ def test_cached_edge_costs_match_geometry(name, variant):
             assert c == edge_cost(graph.positions[u], graph.positions[v], sc)
         entries += len(nbrs)
     assert entries == 2 * graph.edge_count > 0
+
+
+@pytest.mark.parametrize(
+    "name, variant, iterations",
+    [
+        ("d2_clutter", AlgorithmVariant.RRTSHARP_V0, 600),
+        ("d2_zones", AlgorithmVariant.RRTSHARP_V2, 600),
+        ("d5_boxes", AlgorithmVariant.RRTSTAR_BASELINE, 8000),
+    ],
+    ids=["d2_clutter-v0", "d2_zones-v2", "d5_boxes-rrtstar"],
+)
+def test_connections_match_full_scenario_recomputation(name, variant, iterations, monkeypatch):
+    # The extension front checks and costs the edges of a large enough star
+    # against the obstacles and zones near it only; every kept id and cost
+    # must equal a per-candidate recomputation against the whole scenario,
+    # and many edges must have been costed against a culled scenario.
+    sc = load_scenario(scenario_path(name))
+    boxes = len(sc.obstacles) + len(sc.zones)
+    front = planner._connections
+    seen = Counter()
+
+    def culled_edge_cost(a, b, scenario):
+        seen["culled" if len(scenario.obstacles) + len(scenario.zones) < boxes else "full"] += 1
+        return edge_cost(a, b, scenario)
+
+    def checked(state, x_rand):
+        status, x_new, v_nearest, free_pairs = front(state, x_rand)
+        if status is None:
+            graph = state.graph
+            positions = graph.positions
+            candidates = graph.near(x_new, len(graph))
+            if v_nearest not in candidates:
+                candidates = sorted(candidates + [v_nearest])
+            want = [
+                (u, edge_cost(positions[u], x_new, sc).hex())
+                for u in candidates
+                if u == v_nearest or segment_obstacle_free(positions[u], x_new, sc)
+            ]
+            assert [(u, c.hex()) for u, c in free_pairs] == want
+            seen["stars"] += 1
+        return (status, x_new, v_nearest, free_pairs)
+
+    monkeypatch.setattr(planner, "_connections", checked)
+    monkeypatch.setattr(planner, "edge_cost", culled_edge_cost)
+    run_planner(sc, variant, iterations, (3, 0), 100, eta=0.15)
+    assert seen["stars"] > 300
+    assert seen["culled"] > 1000
 
 
 @pytest.mark.parametrize("name", ["d2_zones", "d2_clutter"])

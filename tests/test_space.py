@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rrtsharp.space import (
@@ -183,6 +185,88 @@ def test_multiple_obstacles_any_hit_blocks():
     )
     assert not segment_obstacle_free((0.0, 0.0), (7.0, 7.0), sc)
     assert segment_obstacle_free((0.0, 3.0), (4.0, 3.0), sc)
+
+
+# ------------------------------------------------------- box cull (within)
+
+# Coordinates on a 1/8 grid put star endpoints on box faces and give
+# candidates coordinates equal to x_new's (axis-parallel segments, di == 0);
+# the offsets keep every grid value exact far from the origin.
+GRID = st.integers(0, 8).map(lambda k: k / 8)
+
+
+@st.composite
+def boxed_stars(draw):
+    """(full scenario, x_new, candidates) for a random star among random
+    obstacles and zones, all inside [offset, offset + 1]^d."""
+    d = draw(st.integers(2, 5))
+    offset = draw(st.sampled_from([0.0, 1e5, 1e7]))
+    coord = st.one_of(GRID, st.floats(0.0, 1.0))
+
+    def grid_box():
+        lo, hi = [], []
+        for _ in range(d):
+            i = draw(st.integers(0, 7))
+            j = draw(st.integers(i + 1, 8))
+            lo.append(offset + i / 8)
+            hi.append(offset + j / 8)
+        return box(lo, hi)
+
+    x_new = tuple(offset + draw(coord) for _ in range(d))
+    candidates = [
+        tuple(x if draw(st.booleans()) else offset + draw(coord) for x in x_new)
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    obstacles = tuple(grid_box() for _ in range(draw(st.integers(0, 6))))
+    zones = tuple(
+        CostZone(grid_box(), draw(st.sampled_from([0.25, 0.5, 2.0, 3.0])))
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    sc = Scenario(
+        bounds=box([offset] * d, [offset + 1] * d),
+        obstacles=obstacles,
+        zones=zones,
+        x_init=(offset,) * d,
+        goal=box([offset + 0.875] * d, [offset + 1] * d),
+    )
+    return sc, x_new, candidates
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(boxed_stars())
+def test_within_star_box_keeps_collisions_and_costs_bit_identical(star):
+    sc, x_new, candidates = star
+    lo = tuple(map(min, x_new, *candidates))
+    hi = tuple(map(max, x_new, *candidates))
+    local = sc.within(lo, hi)
+    assert set(local.obstacles) <= set(sc.obstacles)
+    assert set(local.zones) <= set(sc.zones)
+    for p in candidates:
+        for a, b in ((p, x_new), (x_new, p)):
+            assert segment_obstacle_free(a, b, local) == segment_obstacle_free(a, b, sc)
+            assert edge_cost(a, b, local).hex() == edge_cost(a, b, sc).hex()
+
+
+def test_within_drops_separated_boxes_and_keeps_order():
+    near, touching, far = box([1, 1], [2, 2]), box([3, 0], [4, 1]), box([5, 5], [6, 6])
+    zone_in, zone_out = CostZone(box([0, 2], [1, 3]), 2.0), CostZone(box([0, 4], [1, 5]), 2.0)
+    sc = Scenario(
+        bounds=box([0, 0], [10, 10]),
+        obstacles=(far, near, touching),
+        zones=(zone_out, zone_in),
+        x_init=(0.0, 0.0),
+        goal=box([8, 8], [9, 9]),
+    )
+    local = sc.within((0.5, 0.5), (3.0, 2.5))
+    # ``touching`` only meets the star box on its face x = 3.
+    assert local.obstacles == (near,)
+    assert local.zones == (zone_in,)
+    assert local.default_coefficient == sc.default_coefficient
+    both = sc.within((0.0, 0.0), (10.0, 10.0))
+    assert both.obstacles == (far, near, touching)
+    assert both.zones == (zone_out, zone_in)
+    bare = sc.within((7.0, 0.0), (8.0, 1.0))
+    assert bare.obstacles == () and bare.zones == ()
 
 
 # ------------------------------------------------------------ edge cost
