@@ -132,6 +132,20 @@ class Graph:
         self.costs[v].append(cost)
         self.edge_count += 1
 
+    def add_edges(self, v: int, pairs: list[tuple[int, float]]) -> None:
+        """``add_edge(v, u, cost)`` for every ``(u, cost)`` in ``pairs``, in
+        order, in one call."""
+        neighbors = self.neighbors
+        costs = self.costs
+        row = neighbors[v]
+        row_costs = costs[v]
+        for u, c in pairs:
+            row.append(u)
+            row_costs.append(c)
+            neighbors[u].append(v)
+            costs[u].append(c)
+        self.edge_count += len(pairs)
+
     def _scan(self, x: Point) -> np.ndarray:
         """Fill the scratch vector with every vertex's squared distance to x."""
         n = len(self.positions)

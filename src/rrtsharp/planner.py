@@ -381,8 +381,7 @@ def _insert(state: RunState, x_new: Point, lmc: float, parent: int, free_pairs: 
     graph.lmc[vid] = lmc
     graph.parent[vid] = parent
     state._register_vertex(vid, x_new)
-    for u, c in free_pairs:
-        graph.add_edge(vid, u, c)
+    graph.add_edges(vid, free_pairs)
     return vid
 
 

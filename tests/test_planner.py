@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from rrtsharp import bench, planner
+from rrtsharp.nngraph import Graph
 from rrtsharp.planner import (
     AlgorithmVariant,
     ExtendStatus,
@@ -35,6 +36,7 @@ from rrtsharp.pqueue import INFINITE_KEY, Key, key_lt
 from rrtsharp.space import (
     AxisBox,
     Scenario,
+    SeededRng,
     edge_cost,
     heuristic,
     load_scenario,
@@ -444,6 +446,43 @@ def test_connections_match_full_scenario_recomputation(name, variant, iterations
     assert seen["culled"] > 1000
 
 
+@pytest.mark.parametrize(
+    "name, variant",
+    [("d2_clutter", AlgorithmVariant.RRTSTAR_BASELINE), ("d2_zones", AlgorithmVariant.RRTSHARP_V2)],
+    ids=["d2_clutter-rrtstar", "d2_zones-v2"],
+)
+def test_insert_builds_the_adjacency_of_one_add_edge_per_pair(name, variant, monkeypatch):
+    # _insert adds a new vertex's whole row in one call; the adjacency must
+    # be the one add_edge per connection, in free_pairs order, would build.
+    sc = load_scenario(scenario_path(name))
+    front = planner._connections
+    last = []
+    rows = {0: []}
+
+    def captured(state, x_rand):
+        out = front(state, x_rand)
+        last[:] = [out[3]]
+        return out
+
+    def record(state, _it):
+        vid = len(state.graph) - 1
+        if vid not in rows:
+            rows[vid] = last[0]
+
+    monkeypatch.setattr(planner, "_connections", captured)
+    graph = run_planner(sc, variant, 1500, (5, 0), 100, eta=0.15, on_iteration=record).graph
+    assert sorted(rows) == list(range(len(graph)))
+    rebuilt = Graph(sc.dimension, graph.gamma, graph.eta)
+    for p in graph.positions:
+        rebuilt.insert_vertex(p)
+    for vid in range(len(graph)):
+        for u, c in rows[vid]:
+            rebuilt.add_edge(vid, u, c)
+    assert rebuilt.edge_count == graph.edge_count > 10_000
+    assert [a.tobytes() for a in graph.neighbors] == [a.tobytes() for a in rebuilt.neighbors]
+    assert [a.tobytes() for a in graph.costs] == [a.tobytes() for a in rebuilt.costs]
+
+
 @pytest.mark.parametrize("name", ["d2_zones", "d2_clutter"])
 def test_rrtstar_reported_cost_reads_cached_costs(name, monkeypatch):
     # The baseline's reported cost sums the best path's cached edge costs; it
@@ -483,6 +522,16 @@ def test_rrtstar_reported_cost_reads_cached_costs(name, monkeypatch):
         on_iteration=observer,
     )
     assert len(checked) >= 4
+
+
+def test_make_planner_state_draws_no_sample():
+    # The first block of samples is drawn by the run loop's first
+    # sample_free call, not while the state is set up.
+    sc = load_scenario(scenario_path("d2_clutter"))
+    for variant in AlgorithmVariant:
+        state = make_planner_state(sc, variant, PlannerParams(eta=0.15, gamma=1.0), seed=(4, 0))
+        fresh = SeededRng((4, 0))
+        assert state.rng._gen.bit_generator.state == fresh._gen.bit_generator.state
 
 
 def test_plan_deterministic_for_fixed_seed():

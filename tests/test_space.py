@@ -6,6 +6,7 @@ the edge-cost integral against a midpoint-rule numeric integration, so the
 production float code never gets to grade its own homework.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from rrtsharp.space import (
+    DEFAULT_SAMPLE_BUDGET,
+    SAMPLE_BLOCK,
     AxisBox,
     CostZone,
     SamplingBudgetError,
@@ -449,6 +452,132 @@ def test_sample_free_budget_error():
         sample_free(SeededRng(1), sc, max_rejections=50)
 
 
+def per_call_sample_free(rng, scenario, max_rejections=DEFAULT_SAMPLE_BUDGET):
+    """Reference rejection sampler: one ``uniform_point`` draw per try, each
+    obstacle tested with ``contains_interior``."""
+    lo = np.asarray(scenario.bounds.lo)
+    hi = np.asarray(scenario.bounds.hi)
+    for _ in range(max_rejections + 1):
+        p = tuple(rng.uniform_point(lo, hi).tolist())
+        if not any(ob.contains_interior(p) for ob in scenario.obstacles):
+            return p
+    raise SamplingBudgetError("reference budget exhausted")
+
+
+def sample_stream(sample, rng, scenario, budgets):
+    """Each call's point as float hex strings, or "budget" where it raised."""
+    out = []
+    for m in budgets:
+        try:
+            out.append(tuple(x.hex() for x in sample(rng, scenario, m)))
+        except SamplingBudgetError:
+            out.append("budget")
+    return out
+
+
+def counted_draws(rng):
+    """Count the rng's ``uniform_point`` draws (in an instance attribute)."""
+    drawn = [0]
+    draw = rng.uniform_point
+
+    def counting(lo, hi):
+        drawn[0] += 1
+        return draw(lo, hi)
+
+    rng.uniform_point = counting
+    return drawn
+
+
+def slab_world(width):
+    """The unit square, all but the slab 0 <= x <= width blocked."""
+    return Scenario(
+        bounds=box([0, 0], [1, 1]),
+        obstacles=(box([width, 0], [1, 1]),),
+        zones=(),
+        x_init=(0.0, 0.5),
+        goal=box([0, 0.4], [width, 0.6]),
+    )
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_sample_free_matches_per_call_draws(name):
+    # Block drawing must return, bit for bit, the points of one uniform
+    # draw per try; that is a property of numpy's generator, pinned here
+    # over more than three blocks.
+    sc = load_scenario(scenario_path(name))
+    budgets = [DEFAULT_SAMPLE_BUDGET] * (3 * SAMPLE_BLOCK + 1)
+    ref = SeededRng((61, 0))
+    drawn = counted_draws(ref)
+    want = sample_stream(per_call_sample_free, ref, sc, budgets)
+    assert drawn[0] > 3 * SAMPLE_BLOCK
+    assert sample_stream(sample_free, SeededRng((61, 0)), sc, budgets) == want
+
+
+def test_sample_free_matches_per_call_with_small_budgets_and_after_errors():
+    # Budget -1 tries no draw and 0 exactly one.  One rng keeps serving the
+    # per-call stream after budget errors, which leave it where the per-call
+    # sampler would stop.
+    sc = slab_world(0.1)
+    budgets = [-1, 0, 2, 30, 5] * 200
+    ref = SeededRng(23)
+    drawn = counted_draws(ref)
+    want = sample_stream(per_call_sample_free, ref, sc, budgets)
+    assert drawn[0] > 3 * SAMPLE_BLOCK
+    assert set(want[0::5]) == {"budget"}
+    assert 0 < want[1::5].count("budget") < 200
+    assert sample_stream(sample_free, SeededRng(23), sc, budgets) == want
+
+
+def test_sample_free_budget_is_exact_across_block_boundaries():
+    # In a thin free slab, find a seed whose first free draw has index
+    # n > 2 blocks: n rejections are allowed, n - 1 are not, and after the
+    # error the next call returns the per-call sampler's next free point.
+    sc = slab_world(1.0 / (4 * SAMPLE_BLOCK))
+    lo, hi = np.asarray(sc.bounds.lo), np.asarray(sc.bounds.hi)
+    obstacle = sc.obstacles[0]
+
+    def first_free(seed):
+        rng = SeededRng(seed)
+        for n in itertools.count():
+            if not obstacle.contains_interior(tuple(rng.uniform_point(lo, hi).tolist())):
+                return n
+
+    seed, n = next((s, n) for s in range(50) if (n := first_free(s)) > 2 * SAMPLE_BLOCK)
+    assert sample_free(SeededRng(seed), sc, n) == per_call_sample_free(SeededRng(seed), sc, n)
+    rng, ref = SeededRng(seed), SeededRng(seed)
+    with pytest.raises(SamplingBudgetError, match=f"after {n - 1} consecutive"):
+        sample_free(rng, sc, n - 1)
+    with pytest.raises(SamplingBudgetError):
+        per_call_sample_free(ref, sc, n - 1)
+    nxt = per_call_sample_free(ref, sc, 10**6)
+    assert sample_free(rng, sc, 10**6) == nxt
+    assert nxt[0] <= sc.goal.hi[0]
+
+
+def test_sample_free_refreshes_on_new_obstacles_and_refuses_new_bounds():
+    # Pending rows are re-tested when the obstacles change, so the points
+    # stay those of the per-call sampler; rows drawn over other bounds are
+    # never handed out.
+    wide, narrow = slab_world(0.5), slab_world(0.1)
+    budgets = [DEFAULT_SAMPLE_BUDGET] * 40
+    rng, ref = SeededRng(29), SeededRng(29)
+    for sc in (wide, narrow, load_scenario(scenario_path("d2_boxes")), wide):
+        assert sample_stream(sample_free, rng, sc, budgets) == sample_stream(
+            per_call_sample_free, ref, sc, budgets
+        )
+    bigger = Scenario(
+        bounds=box([0, 0], [2, 1]),
+        obstacles=wide.obstacles,
+        zones=(),
+        x_init=wide.x_init,
+        goal=wide.goal,
+    )
+    with pytest.raises(ValueError, match="bounds changed"):
+        sample_free(rng, bigger)
+    fresh = SeededRng(29)
+    assert sample_free(fresh, bigger) == per_call_sample_free(SeededRng(29), bigger)
+
+
 def test_sample_free_uniform_over_free_space():
     """Chi-squared fit of the empirical cell histogram to free-area weights."""
     sc = load_scenario(scenario_path("d2_boxes"))
@@ -619,6 +748,63 @@ def test_loader_rejects_infinite_zone_coefficient(coefficient):
     with pytest.raises(ScenarioError) as info:
         load_scenario(data)
     assert str(info.value) == "zones[0].coefficient: must be a finite number"
+
+
+def numeric_fields(data):
+    """(path, field name) of every float-valued field of a scenario dict."""
+    fields = []
+
+    def point(path, name):
+        node = data
+        for key in path:
+            node = node[key]
+        fields.extend((path + (k,), f"{name}[{k}]") for k in range(len(node)))
+
+    for top in ("bounds", "goal"):
+        for end in ("min", "max"):
+            point((top, end), f"{top}.{end}")
+    for i in range(len(data["obstacles"])):
+        for end in ("min", "max"):
+            point(("obstacles", i, end), f"obstacles[{i}].{end}")
+    for i in range(len(data["zones"])):
+        for end in ("min", "max"):
+            point(("zones", i, end), f"zones[{i}].{end}")
+        fields.append((("zones", i, "coefficient"), f"zones[{i}].coefficient"))
+    point(("x_init",), "x_init")
+    return fields
+
+
+LOADER_WORLDS = [finite_world()] + [
+    json.loads(scenario_path(name).read_text()) for name in BUNDLED
+]
+
+
+@st.composite
+def corrupted_worlds(draw):
+    """(scenario dict with one numeric field made non-finite or too large
+    for a float, that field's name)."""
+    data = json.loads(json.dumps(draw(st.sampled_from(LOADER_WORLDS))))
+    path, field = draw(st.sampled_from(numeric_fields(data)))
+    bad = draw(st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(min_value=2**1024),
+        st.integers(max_value=-(2**1024)),
+    ))
+    set_path(data, path, bad)
+    return data, field
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(corrupted_worlds())
+def test_loader_rejects_any_non_finite_or_overflowing_number(world):
+    # Every float field of every bundled world: the error names the field.
+    data, field = world
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(data)
+    message = str(info.value)
+    assert message.startswith(f"{field}: ")
+    if not field.endswith("coefficient"):
+        assert message == f"{field}: must be a finite number"
 
 
 def test_zones_may_share_faces():
